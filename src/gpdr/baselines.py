@@ -5,14 +5,12 @@ evolved genomes and baselines a common transform() surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
-from .distances import _repair_connectivity, knn_graph, pairwise_euclidean
-from .gp_core import AutoencoderMultiTree, MultiTree, encode
-from .numerics import sym_eigen
+from .distances import geodesic
+from .gp_core import encode
+from .numerics import covariance_eigen, sym_eigen
 
 
 class FitError(ValueError):
@@ -36,11 +34,7 @@ class PcaModel:
 
 
 def pca_fit(X: np.ndarray, k: int) -> PcaModel:
-    X = np.asarray(X, dtype=np.float64)
-    mean = X.mean(axis=0)
-    Xc = X - mean
-    cov = (Xc.T @ Xc) / X.shape[0]
-    eig = sym_eigen(cov)
+    mean, _, eig = covariance_eigen(X)
     rank = int(np.sum(eig.eigenvalues > 1e-12 * max(1.0, eig.eigenvalues[0])))
     if k > rank:
         raise FitError(f"k={k} exceeds data rank {rank}")
@@ -52,14 +46,9 @@ def pca_fit(X: np.ndarray, k: int) -> PcaModel:
     )
 
 
-def pca_transform(model: PcaModel, rows: np.ndarray) -> np.ndarray:
-    return model.transform(rows)
-
-
 @dataclass
 class IsomapModel:
     train_X: np.ndarray
-    graph: object                 # symmetrized, connectivity-repaired kNN graph
     geodesic_matrix: np.ndarray   # (n, n)
     embedding: np.ndarray         # (n, k)
     eigenvalues: np.ndarray       # top-k of the double-centered matrix
@@ -89,13 +78,7 @@ class IsomapModel:
 def isomap_fit(X: np.ndarray, k: int, n_neighbors: int = 10) -> IsomapModel:
     """Classical MDS on the geodesic matrix of the kNN graph."""
     X = np.asarray(X, dtype=np.float64)
-    d = pairwise_euclidean(X)
-    g = _repair_connectivity(knn_graph(X, n_neighbors), d)
-    G = dijkstra(g, directed=False)
-    G = (G + G.T) / 2.0
-    np.fill_diagonal(G, 0.0)
-
-    n = G.shape[0]
+    G = geodesic(X, n_neighbors)
     G2 = G**2
     row_mean = G2.mean(axis=1)
     total_mean = G2.mean()
@@ -111,7 +94,6 @@ def isomap_fit(X: np.ndarray, k: int, n_neighbors: int = 10) -> IsomapModel:
     V = eig.eigenvectors[:, :k]
     return IsomapModel(
         train_X=X,
-        graph=g,
         geodesic_matrix=G,
         embedding=V * np.sqrt(lam),
         eigenvalues=lam,
@@ -120,10 +102,6 @@ def isomap_fit(X: np.ndarray, k: int, n_neighbors: int = 10) -> IsomapModel:
         k=k,
         _col_mean_sq=G2.mean(axis=0),
     )
-
-
-def isomap_transform(model: IsomapModel, rows: np.ndarray) -> np.ndarray:
-    return model.transform(rows)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import check_matrix, sym_eigen
+from .numerics import check_matrix, covariance_eigen
 
 
 class IngestionError(ValueError):
@@ -235,10 +235,7 @@ class PcaTarget:
 
 def pca_target(d: Dataset, variance_fraction: float = 0.99) -> PcaTarget:
     X = d.features
-    mean = X.mean(axis=0)
-    Xc = X - mean
-    cov = (Xc.T @ Xc) / X.shape[0]
-    eig = sym_eigen(cov)
+    mean, Xc, eig = covariance_eigen(X)
     lam = np.clip(eig.eigenvalues, 0.0, None)
     total = lam.sum()
     if total <= 0:

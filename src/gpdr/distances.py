@@ -85,9 +85,3 @@ def geodesic(X: np.ndarray, n_neighbors: int) -> np.ndarray:
         raise RuntimeError("geodesic matrix has unreachable pairs after repair")
     np.fill_diagonal(out, 0.0)
     return (out + out.T) / 2.0
-
-
-def geodesic_from_graph(g: csr_matrix, indices=None) -> np.ndarray:
-    """Shortest paths from ``indices`` (or all nodes) on a prepared graph."""
-    out = dijkstra(g, directed=False, indices=indices)
-    return out

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,15 +150,7 @@ def evaluate(
         pred = rf_predict(rf, latent[test_idx])
         accs.append(balanced_accuracy(labels[test_idx], pred))
 
-        cfg = decoder_cfg or TrainConfig(seed=seed + 104729 * f)
-        if decoder_cfg is not None:
-            cfg = TrainConfig(
-                epochs=decoder_cfg.epochs,
-                batch_size=decoder_cfg.batch_size,
-                learning_rate=decoder_cfg.learning_rate,
-                seed=seed + 104729 * f,
-                momentum=decoder_cfg.momentum,
-            )
+        cfg = replace(decoder_cfg or TrainConfig(), seed=seed + 104729 * f)
         dec = train_decoder(latent[train_mask], heldout_target[train_mask], cfg)
         recon = dec.forward(latent[test_idx])
         errs.append(float(np.mean((recon - heldout_target[test_idx]) ** 2)))

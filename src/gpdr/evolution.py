@@ -7,29 +7,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .dataset import BatchSampler
-from .distances import pairwise_euclidean
 from .fitness import (
-    WORST_FITNESS,
+    BatchContext,
     FitnessSpec,
-    gp_autoencoder_fitness,
+    genome_output,
     linear_scaling,
-    prepare_batch,
-    rank_fitness_many,
-    sammon_stress,
     score,
-    teacher_fitness,
+    score_output,
 )
 from .gp_core import (
     AutoencoderMultiTree,
-    MultiTree,
-    autoencode,
     depth,
-    encode,
     export_lines,
     ramped_autoencoders,
     ramped_half_and_half,
@@ -43,42 +35,19 @@ def _full_split_fitness(candidates, spec: FitnessSpec) -> list[float]:
     The objectives depend on the genome only through its output on the
     split, so candidates with identical outputs (converged populations are
     full of them) are scored once. This matters most for the rank
-    objective, whose full-split evaluation is O(n^3) per distinct output.
+    objective, whose full-split evaluation is O(n^2 log n) per distinct
+    output.
     """
-    if spec.objective == "gp_autoencoder":
-        outputs = [autoencode(g, spec.inputs)[1] for g in candidates]
-    else:
-        outputs = [encode(g, spec.inputs) for g in candidates]
-    rep_index: dict = {}
-    rep_outputs: list = []
-    positions = []
-    for out in outputs:
+    ctx = BatchContext(spec)
+    by_output: dict = {}
+    fits = []
+    for g in candidates:
+        out = genome_output(g, spec, ctx.X)
         key = out.tobytes()
-        if key not in rep_index:
-            rep_index[key] = len(rep_outputs)
-            rep_outputs.append(out)
-        positions.append(rep_index[key])
-
-    if spec.objective == "rank":
-        rep_fits = rank_fitness_many(
-            spec.full_distance_matrix(), rep_outputs, spec.weight_scheme
-        )
-    elif spec.objective == "dist":
-        D = spec.full_distance_matrix()
-        rep_fits = [
-            sammon_stress(D, pairwise_euclidean(out)) for out in rep_outputs
-        ]
-    elif spec.objective == "teacher":
-        rep_fits = [
-            teacher_fitness(spec.teacher_latent, out) for out in rep_outputs
-        ]
-    else:
-        scaled = [linear_scaling(spec.target, out) for out in rep_outputs]
-        rep_fits = [
-            gp_autoencoder_fitness(f.target_c, f.fit_c) for f in scaled
-        ]
-    rep_fits = [f if np.isfinite(f) else WORST_FITNESS for f in rep_fits]
-    return [rep_fits[i] for i in positions]
+        if key not in by_output:
+            by_output[key] = score_output(spec, ctx, out)
+        fits.append(by_output[key])
+    return fits
 
 
 @dataclass
@@ -108,9 +77,6 @@ class RunResult:
     wall_time: float
     seed: int
     expressions: list[str]
-
-    def fitness_curve(self) -> list[float]:
-        return list(self.history)
 
 
 def _audit(pop, fitnesses, expected_size: int):
@@ -159,7 +125,7 @@ def evolve(
 
     for gen in range(cfg.generations):
         batch = sampler.next_batch(n)
-        ctx = prepare_batch(spec, batch)
+        ctx = BatchContext(spec, batch)
         fits = [score(g, spec, ctx) for g in pop]
         best_idx = int(np.argmin(fits))
         history.append(fits[best_idx])
@@ -179,7 +145,8 @@ def evolve(
     if isinstance(winner, AutoencoderMultiTree):
         # the decoder lines carry the linear scaling fitted on the whole
         # split, so evaluating them reproduces the full-split fitness
-        fit = linear_scaling(spec.target, autoencode(winner, spec.inputs)[1])
+        recon = genome_output(winner, spec, spec.inputs)
+        fit = linear_scaling(spec.target, recon)
         expressions = export_lines(winner.encoder, constant_precision=None)
         expressions += [
             line.replace("X~", "Xrec~", 1)

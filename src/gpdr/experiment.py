@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -17,9 +17,7 @@ from .dataset import Dataset, load_csv, pca_target, split, standardize
 from .evaluation import evaluate, mann_whitney_u, significance_stars
 from .evolution import GpRunConfig, RunResult, evolve
 from .fitness import HYPERBOLIC, FitnessSpec
-from .gp_core import parse_infix
 from .neural import TrainConfig, latent as mlp_latent, train_autoencoder
-from .variation import VariationConfig
 
 RECORD_FORMAT = "gpdr-run-record"
 RECORD_VERSION = 1
@@ -90,6 +88,11 @@ class ExperimentConfig:
 
         with open(path) as f:
             raw = yaml.safe_load(f) or {}
+        unknown = sorted(set(raw) - {fld.name for fld in fields(cls)})
+        if unknown:
+            raise ExperimentError(
+                f"{path}: unknown config keys: {', '.join(unknown)}"
+            )
         return cls(**raw)
 
 
@@ -206,6 +209,11 @@ def read_record(path: Path) -> dict:
         header = json.loads(f.readline())
         if header.get("format") != RECORD_FORMAT:
             raise ExperimentError(f"{path}: not a run record")
+        if header.get("version") != RECORD_VERSION:
+            raise ExperimentError(
+                f"{path}: record version {header.get('version')!r}, "
+                f"expected {RECORD_VERSION}"
+            )
         return json.loads(f.readline())
 
 

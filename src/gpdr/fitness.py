@@ -147,19 +147,6 @@ class RankTargetCache:
         return float(taus.mean())
 
 
-def rank_fitness(
-    D: np.ndarray,
-    D_tilde: np.ndarray,
-    scheme: Optional[WeightScheme] = HYPERBOLIC,
-) -> float:
-    """Negative mean per-row (weighted) Kendall tau; minimized, in [-1, 1]."""
-    D = np.asarray(D, dtype=np.float64)
-    D_tilde = np.asarray(D_tilde, dtype=np.float64)
-    if D.shape != D_tilde.shape:
-        raise FitnessError(f"shape mismatch: {D.shape} vs {D_tilde.shape}")
-    return -RankTargetCache(D, scheme).mean_tau(D_tilde)
-
-
 class RankSweep:
     """Target-side precomputation for scoring many latent embeddings
     against one (possibly full-split) distance matrix.
@@ -275,27 +262,8 @@ class RankSweep:
             num[r] -= np.sum((wv[ju] + wv[lu]) * s)
         return num / self.total_w
 
-
-def rank_fitness_many(
-    D: np.ndarray,
-    latents,
-    scheme: Optional[WeightScheme] = HYPERBOLIC,
-) -> list[float]:
-    """Rank fitness of many latent embeddings against one target distance
-    matrix, equal to ``rank_fitness(D, pairwise_euclidean(L))`` per latent
-    but O(n^2 log n) per latent instead of O(n^3)."""
-    D = np.asarray(D, dtype=np.float64)
-    n = D.shape[0]
-    if n < 2:
-        raise FitnessError("need at least 2 rows")
-    lat = [np.asarray(L, dtype=np.float64) for L in latents]
-    for L in lat:
-        if L.shape[0] != n:
-            raise FitnessError(f"latent has {L.shape[0]} rows, expected {n}")
-    sweep = RankSweep(D, scheme)
-    return [
-        float(-sweep.tau_per_row(pairwise_euclidean(L)).mean()) for L in lat
-    ]
+    def mean_tau(self, D_tilde: np.ndarray) -> float:
+        return float(self.tau_per_row(D_tilde).mean())
 
 
 def teacher_fitness(L: np.ndarray, X_tilde: np.ndarray) -> float:
@@ -398,63 +366,68 @@ class FitnessSpec:
 
 
 class BatchContext:
-    """Everything a generation's scoring needs for one mini-batch."""
+    """Target-side state for scoring genome outputs on a set of DR-train
+    rows: a mini-batch, or the whole split when ``indices`` is None."""
 
-    def __init__(self, spec: FitnessSpec, batch_indices: np.ndarray):
-        self.indices = np.asarray(batch_indices)
-        self.X = spec.inputs[self.indices]
-        self.target = spec.target[self.indices]
+    def __init__(self, spec: FitnessSpec, indices=None):
+        whole = indices is None
+        rows = slice(None) if whole else np.asarray(indices)
+        self.X = spec.inputs[rows]
+        self.target = spec.target[rows]
         self.D = None
-        self.rank_cache = None
+        self.rank = None
         self.teacher = None
         if spec.objective in ("dist", "rank"):
-            D_full = spec.full_distance_matrix()
-            self.D = D_full[np.ix_(self.indices, self.indices)]
+            self.D = spec.full_distance_matrix()
+            if not whole:
+                self.D = self.D[np.ix_(rows, rows)]
         if spec.objective == "rank":
             m = self.D.shape[0]
-            # the cache holds n_rows x n_pairs arrays; past the memory cap,
-            # score() falls back to the Fenwick-sweep path instead
-            if m * (m - 1) * (m - 2) // 2 <= RANK_CACHE_MAX_ELEMENTS:
-                self.rank_cache = RankTargetCache(self.D, spec.weight_scheme)
-        if spec.objective == "teacher":
-            self.teacher = spec.teacher_latent[self.indices]
-
-
-def prepare_batch(spec: FitnessSpec, batch_indices) -> BatchContext:
-    return BatchContext(spec, batch_indices)
-
-
-def score(genome, spec: FitnessSpec, ctx: BatchContext) -> float:
-    """Dispatch to the configured objective; non-finite outcomes collapse
-    to the worst-possible sentinel instead of aborting the run."""
-    try:
-        if spec.objective == "gp_autoencoder":
-            if not isinstance(genome, AutoencoderMultiTree):
-                raise FitnessError("gp_autoencoder requires an AMT genome")
-            _, recon = autoencode(genome, ctx.X)
-            fit = linear_scaling(ctx.target, recon)
-            value = gp_autoencoder_fitness(fit.target_c, fit.fit_c)
-        else:
-            if not isinstance(genome, MultiTree):
-                raise FitnessError(f"{spec.objective} requires a MultiTree")
-            latent = encode(genome, ctx.X)
-            if spec.objective == "dist":
-                value = sammon_stress(ctx.D, pairwise_euclidean(latent))
-            elif spec.objective == "rank":
-                if ctx.rank_cache is not None:
-                    value = -ctx.rank_cache.mean_tau(
-                        pairwise_euclidean(latent)
-                    )
-                else:
-                    value = rank_fitness_many(
-                        ctx.D, [latent], spec.weight_scheme
-                    )[0]
+            cache_size = m * (m - 1) * (m - 2) // 2
+            # the pair cache holds n_rows x n_pairs arrays, so it serves
+            # only batches within the memory cap; the whole split and
+            # larger batches use the Fenwick sweep
+            if not whole and cache_size <= RANK_CACHE_MAX_ELEMENTS:
+                self.rank = RankTargetCache(self.D, spec.weight_scheme)
             else:
-                value = teacher_fitness(ctx.teacher, latent)
-    except FitnessError:
-        raise
+                self.rank = RankSweep(self.D, spec.weight_scheme)
+        if spec.objective == "teacher":
+            self.teacher = spec.teacher_latent[rows]
+
+
+def genome_output(genome, spec: FitnessSpec, X: np.ndarray) -> np.ndarray:
+    """What the objective scores: the decoder output of an AMT genome for
+    ``gp_autoencoder``, the latent of a MultiTree for the others."""
+    if spec.objective == "gp_autoencoder":
+        if not isinstance(genome, AutoencoderMultiTree):
+            raise FitnessError("gp_autoencoder requires an AMT genome")
+        return autoencode(genome, X)[1]
+    if not isinstance(genome, MultiTree):
+        raise FitnessError(f"{spec.objective} requires a MultiTree")
+    return encode(genome, X)
+
+
+def score_output(spec: FitnessSpec, ctx: BatchContext, out) -> float:
+    """Objective value of a genome output on the rows of ``ctx``;
+    non-finite outcomes collapse to the worst-possible sentinel instead of
+    aborting the run."""
+    try:
+        if spec.objective == "dist":
+            value = sammon_stress(ctx.D, pairwise_euclidean(out))
+        elif spec.objective == "rank":
+            value = -ctx.rank.mean_tau(pairwise_euclidean(out))
+        elif spec.objective == "teacher":
+            value = teacher_fitness(ctx.teacher, out)
+        else:
+            fit = linear_scaling(ctx.target, out)
+            value = gp_autoencoder_fitness(fit.target_c, fit.fit_c)
     except FloatingPointError:
         return WORST_FITNESS
     if not np.isfinite(value):
         return WORST_FITNESS
     return value
+
+
+def score(genome, spec: FitnessSpec, ctx: BatchContext) -> float:
+    """Fitness of a genome on the rows of ``ctx``."""
+    return score_output(spec, ctx, genome_output(genome, spec, ctx.X))

@@ -8,10 +8,9 @@ NaN is replaced by 0 so depth-7 polynomials cannot blow up on data tails.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -144,15 +143,6 @@ def eval_tree_rows(t: Tree, X: np.ndarray) -> np.ndarray:
             f"input width {X.shape} does not match arity {t.input_arity}"
         )
     return _eval_node(t.root, X)
-
-
-def eval_tree(t: Tree, row: Sequence[float]) -> float:
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.shape[0] != t.input_arity:
-        raise EvalError(
-            f"row length {row.shape} does not match arity {t.input_arity}"
-        )
-    return float(_eval_node(t.root, row[None, :])[0])
 
 
 def encode(mt: MultiTree, X: np.ndarray) -> np.ndarray:

@@ -25,16 +25,6 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a = check_matrix(a, "a")
-    b = check_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise NumericsError(
-            f"dimension mismatch: {a.shape} @ {b.shape}"
-        )
-    return a @ b
-
-
 @dataclass(frozen=True)
 class SymmetricEigen:
     """Eigenpairs of a symmetric matrix, eigenvalues sorted descending."""
@@ -68,3 +58,12 @@ def sym_eigen(m, symmetry_tol: float = 1e-10) -> SymmetricEigen:
     signs[signs == 0] = 1.0
     v = v * signs
     return SymmetricEigen(eigenvalues=w, eigenvectors=v)
+
+
+def covariance_eigen(X) -> tuple[np.ndarray, np.ndarray, SymmetricEigen]:
+    """Column means, centered rows and the eigenpairs of the population
+    covariance of ``X`` (rows are observations): the PCA of ``X``."""
+    X = np.asarray(X, dtype=np.float64)
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    return mean, Xc, sym_eigen((Xc.T @ Xc) / X.shape[0])

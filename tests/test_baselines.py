@@ -6,9 +6,7 @@ from gpdr.baselines import (
     FitError,
     IsomapModel,
     isomap_fit,
-    isomap_transform,
     pca_fit,
-    pca_transform,
 )
 from gpdr.distances import pairwise_euclidean
 from gpdr.gp_core import AutoencoderMultiTree, MultiTree, Tree, variable
@@ -30,7 +28,7 @@ def test_pca_explained_variance_matches_eigen_oracle():
     lam = np.linalg.eigvalsh(np.cov(X.T, bias=True))[::-1]
     assert np.allclose(m.explained_variance, lam[:3], atol=1e-9)
     # latent variance equals explained variance
-    lat = pca_transform(m, X)
+    lat = m.transform(X)
     assert np.allclose(lat.var(axis=0), lam[:3], atol=1e-9)
 
 
@@ -46,7 +44,7 @@ def test_isomap_self_consistent_on_training_rows():
     X = rng.normal(size=(40, 3))
     m = isomap_fit(X, 2, n_neighbors=5)
     assert m.embedding.shape == (40, 2)
-    back = isomap_transform(m, X)
+    back = m.transform(X)
     # the out-of-sample extension must reproduce training embeddings
     assert np.allclose(back, m.embedding, atol=1e-8)
 

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
+from gpdr.distances import pairwise_euclidean
 from gpdr.evolution import GpRunConfig, evolve
-from gpdr.fitness import FitnessSpec
+from gpdr.fitness import (
+    FitnessSpec,
+    linear_scaling,
+    sammon_stress,
+    weighted_kendall_tau_row,
+)
 from gpdr.gp_core import (
     AutoencoderMultiTree,
     MultiTree,
     Tree,
+    autoencode,
     depth,
     encode,
     eval_tree_rows,
@@ -40,7 +47,6 @@ def test_evolve_learns_easy_teacher():
                                    batch_size=40, seed=1))
     assert res.best_fitness < 0.5
     assert len(res.history) == 15
-    assert res.fitness_curve() == res.history
     assert res.wall_time > 0
     assert isinstance(res.best_genome, MultiTree)
 
@@ -77,14 +83,44 @@ def test_evolve_audit_invariants_hold():
     assert seen == list(range(8))
 
 
-def test_evolve_best_fitness_is_full_split_value():
+def _full_split_oracle(spec, genome) -> float:
+    """The objective on the whole split, computed directly from its
+    definition: Sammon stress, the mean of the O(m^2) per-row weighted tau,
+    the linearly scaled reconstruction MSE, or the teacher MSE."""
+    if spec.objective == "gp_autoencoder":
+        fit = linear_scaling(spec.target, autoencode(genome, spec.inputs)[1])
+        return np.mean((fit.target_c - fit.fit_c) ** 2)
+    lat = encode(genome, spec.inputs)
+    if spec.objective == "teacher":
+        return np.mean((lat - spec.teacher_latent) ** 2)
+    D, Dt = pairwise_euclidean(spec.target), pairwise_euclidean(lat)
+    if spec.objective == "dist":
+        return sammon_stress(D, Dt)
+    n = D.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    rows_d, rows_t = D[off].reshape(n, n - 1), Dt[off].reshape(n, n - 1)
+    return -np.mean([weighted_kendall_tau_row(rows_d[i], rows_t[i])
+                     for i in range(n)])
+
+
+@pytest.mark.parametrize("objective",
+                         ["dist", "rank", "teacher", "gp_autoencoder"])
+def test_evolve_best_fitness_is_full_split_value(objective):
     rng = np.random.default_rng(3)
-    spec = _teacher_spec(rng)
+    if objective == "teacher":
+        spec = _teacher_spec(rng)
+    else:
+        X = rng.normal(size=(60, 4))
+        metric = None if objective == "gp_autoencoder" else "euclidean"
+        spec = FitnessSpec(objective=objective, inputs=X, target=X[:, :3],
+                           metric=metric)
+    representation = ("autoencoder" if objective == "gp_autoencoder"
+                      else "multi_tree")
     res = evolve(spec, GpRunConfig(population=40, generations=5, k=2,
-                                   batch_size=20, seed=4))
-    lat = encode(res.best_genome, spec.inputs)
-    assert np.isclose(res.best_fitness,
-                      np.mean((lat - spec.teacher_latent) ** 2), atol=1e-12)
+                                   batch_size=20, seed=4,
+                                   representation=representation))
+    expected = _full_split_oracle(spec, res.best_genome)
+    assert abs(res.best_fitness - expected) <= 1e-12
 
 
 def test_expressions_reparse_to_best_genome():

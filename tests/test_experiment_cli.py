@@ -76,6 +76,19 @@ def test_config_from_yaml(toy_csv, tmp_path):
     assert list(cfg.methods) == ["pca", "mt_teacher"]
 
 
+def test_config_from_yaml_rejects_unknown_keys(toy_csv, tmp_path):
+    y = tmp_path / "cfg.yaml"
+    y.write_text(f"dataset_path: {toy_csv}\nruns: 2\npopulaton: 50\n"
+                 "seed: 3\n")
+    with pytest.raises(ExperimentError, match="populaton, seed"):
+        ExperimentConfig.from_yaml(y)
+    result = CliRunner().invoke(main, ["run", "--config", str(y)])
+    # a clean exit 1 with a message, not an uncaught TypeError
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output and "populaton" in result.output
+
+
 def test_derive_seed_is_stable_and_distinct():
     s = derive_seed(1, "pca", 2, 0)
     assert s == derive_seed(1, "pca", 2, 0)
@@ -94,9 +107,11 @@ def test_record_round_trip(tmp_path):
         header = json.loads(f.readline())
     assert header["format"] == "gpdr-run-record"
     bad = tmp_path / "records" / "bad.jsonl"
-    bad.write_text('{"format": "other"}\n{}\n')
-    with pytest.raises(ExperimentError):
-        read_record(bad)
+    for header in ('{"format": "other"}',
+                   '{"format": "gpdr-run-record", "version": 99}'):
+        bad.write_text(header + '\n{}\n')
+        with pytest.raises(ExperimentError):
+            read_record(bad)
 
 
 def test_run_single_produces_complete_record(toy_csv, tmp_path):

@@ -5,16 +5,15 @@ from gpdr.distances import pairwise_euclidean
 from gpdr.fitness import (
     HYPERBOLIC,
     WORST_FITNESS,
+    BatchContext,
     FitnessError,
     FitnessSpec,
+    RankSweep,
     RankTargetCache,
     WeightScheme,
     gp_autoencoder_fitness,
     kendall_tau_row,
     linear_scaling,
-    prepare_batch,
-    rank_fitness,
-    rank_fitness_many,
     sammon_stress,
     score,
     teacher_fitness,
@@ -121,22 +120,27 @@ def test_sammon_skips_duplicate_rows():
         sammon_stress(np.zeros((3, 3)), np.zeros((3, 3)))
 
 
+def _mean_row_tau(D, Dt, tau_row):
+    """Mean over rows of a per-row tau oracle, diagonal excluded."""
+    n = D.shape[0]
+    mask = ~np.eye(n, dtype=bool)
+    rows_d = D[mask].reshape(n, n - 1)
+    rows_t = Dt[mask].reshape(n, n - 1)
+    return np.mean([tau_row(rows_d[i], rows_t[i]) for i in range(n)])
+
+
 def test_rank_fitness_equals_mean_row_tau():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(12, 4))
     L = rng.normal(size=(12, 2))
     D, Dt = pairwise_euclidean(X), pairwise_euclidean(L)
-    mask = ~np.eye(12, dtype=bool)
-    rows_d = D[mask].reshape(12, 11)
-    rows_t = Dt[mask].reshape(12, 11)
-    expected = -np.mean([
-        weighted_kendall_tau_row(rows_d[i], rows_t[i]) for i in range(12)
-    ])
-    assert np.isclose(rank_fitness(D, Dt), expected, atol=1e-12)
-    expected_u = -np.mean([
-        kendall_tau_row(rows_d[i], rows_t[i]) for i in range(12)
-    ])
-    assert np.isclose(rank_fitness(D, Dt, scheme=None), expected_u, atol=1e-12)
+    expected = _mean_row_tau(D, Dt, weighted_kendall_tau_row)
+    expected_u = _mean_row_tau(D, Dt, kendall_tau_row)
+    for kernel in (RankTargetCache, RankSweep):
+        assert np.isclose(kernel(D, HYPERBOLIC).mean_tau(Dt), expected,
+                          atol=1e-12)
+        assert np.isclose(kernel(D, None).mean_tau(Dt), expected_u,
+                          atol=1e-12)
 
 
 def test_rank_fitness_many_matches_single_path():
@@ -146,11 +150,12 @@ def test_rank_fitness_many_matches_single_path():
         D = pairwise_euclidean(rng.normal(size=(n, 3)))
         lats = [rng.normal(size=(n, 2)) for _ in range(3)]
         for scheme in (HYPERBOLIC, WeightScheme("uniform"), None):
-            singles = [
-                rank_fitness(D, pairwise_euclidean(L), scheme) for L in lats
-            ]
-            many = rank_fitness_many(D, lats, scheme)
-            assert np.allclose(singles, many, atol=1e-12)
+            cache = RankTargetCache(D, scheme)
+            sweep = RankSweep(D, scheme)
+            for L in lats:
+                Dt = pairwise_euclidean(L)
+                assert np.isclose(sweep.mean_tau(Dt), cache.mean_tau(Dt),
+                                  atol=1e-12)
 
 
 def test_rank_fitness_many_handles_ties_on_both_sides():
@@ -163,11 +168,12 @@ def test_rank_fitness_many_handles_ties_on_both_sides():
         lats = [rng.integers(0, 3, size=(n, 2)).astype(float)
                 for _ in range(3)]
         for scheme in (HYPERBOLIC, None):
-            singles = [
-                rank_fitness(D, pairwise_euclidean(L), scheme) for L in lats
-            ]
-            many = rank_fitness_many(D, lats, scheme)
-            assert np.allclose(singles, many, atol=1e-12)
+            cache = RankTargetCache(D, scheme)
+            sweep = RankSweep(D, scheme)
+            for L in lats:
+                Dt = pairwise_euclidean(L)
+                assert np.isclose(sweep.mean_tau(Dt), cache.mean_tau(Dt),
+                                  atol=1e-12)
 
 
 def test_rank_cache_matches_direct_computation():
@@ -175,7 +181,9 @@ def test_rank_cache_matches_direct_computation():
     D = pairwise_euclidean(rng.normal(size=(9, 3)))
     Dt = pairwise_euclidean(rng.normal(size=(9, 2)))
     cache = RankTargetCache(D, HYPERBOLIC)
-    assert np.isclose(-cache.mean_tau(Dt), rank_fitness(D, Dt), atol=1e-12)
+    assert np.isclose(cache.mean_tau(Dt),
+                      _mean_row_tau(D, Dt, weighted_kendall_tau_row),
+                      atol=1e-12)
 
 
 def test_pointwise_objectives():
@@ -207,7 +215,7 @@ def test_score_dist_objective_perfect_genome():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(20, 2))
     spec = FitnessSpec(objective="dist", inputs=X, target=X, metric="euclidean")
-    ctx = prepare_batch(spec, np.arange(20))
+    ctx = BatchContext(spec, np.arange(20))
     # identity mapping preserves every distance exactly
     assert score(_identity_genome(2, 2), spec, ctx) == 0.0
 
@@ -217,10 +225,11 @@ def test_score_rank_objective_and_batch_slicing():
     X = rng.normal(size=(30, 3))
     spec = FitnessSpec(objective="rank", inputs=X, target=X, metric="euclidean")
     batch = np.arange(0, 30, 2)
-    ctx = prepare_batch(spec, batch)
+    ctx = BatchContext(spec, batch)
     got = score(_identity_genome(3, 3), spec, ctx)
     D = pairwise_euclidean(X[batch])
-    assert np.isclose(got, rank_fitness(D, D), atol=1e-12)
+    assert np.isclose(got, -_mean_row_tau(D, D, weighted_kendall_tau_row),
+                      atol=1e-12)
     assert np.isclose(got, -1.0, atol=1e-12)
 
 
@@ -231,10 +240,14 @@ def test_score_rank_blocked_fallback_matches_cache(monkeypatch):
     X = rng.normal(size=(25, 3))
     spec = FitnessSpec(objective="rank", inputs=X, target=X, metric="euclidean")
     g = _identity_genome(3, 2)
-    with_cache = score(g, spec, prepare_batch(spec, np.arange(25)))
+    cached = BatchContext(spec, np.arange(25))
+    assert isinstance(cached.rank, RankTargetCache)
+    # the whole split always takes the sweep, whatever its size
+    assert isinstance(BatchContext(spec).rank, RankSweep)
+    with_cache = score(g, spec, cached)
     monkeypatch.setattr(fit, "RANK_CACHE_MAX_ELEMENTS", 10)
-    ctx = prepare_batch(spec, np.arange(25))
-    assert ctx.rank_cache is None
+    ctx = BatchContext(spec, np.arange(25))
+    assert isinstance(ctx.rank, RankSweep)
     assert np.isclose(score(g, spec, ctx), with_cache, atol=1e-12)
 
 
@@ -243,14 +256,14 @@ def test_score_teacher_and_autoencoder_objectives():
     X = rng.normal(size=(15, 2))
     spec = FitnessSpec(objective="teacher", inputs=X, target=X,
                        teacher_latent=X[:, :1])
-    ctx = prepare_batch(spec, np.arange(15))
+    ctx = BatchContext(spec, np.arange(15))
     assert score(_identity_genome(2, 1), spec, ctx) == 0.0
 
     amt = AutoencoderMultiTree(
         _identity_genome(2, 2), _identity_genome(2, 2)
     )
     spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=X)
-    ctx = prepare_batch(spec, np.arange(15))
+    ctx = BatchContext(spec, np.arange(15))
     assert score(amt, spec, ctx) == 0.0
     with pytest.raises(FitnessError):
         score(_identity_genome(2, 2), spec, ctx)
@@ -265,7 +278,7 @@ def test_score_autoencoder_scales_decoder_outputs():
     X = rng.normal(loc=1.5, scale=2.0, size=(30, 3))
     spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=X)
     batch = np.arange(1, 30, 3)
-    ctx = prepare_batch(spec, batch)
+    ctx = BatchContext(spec, batch)
     # a constant decoder predicts each column's batch mean, so it scores
     # the mean per-column variance of the batch target, not its raw MSE
     flat = AutoencoderMultiTree(
@@ -310,8 +323,8 @@ def test_score_geodesic_metric_uses_geodesic_target():
     spec_e = FitnessSpec(objective="dist", inputs=X, target=X,
                          metric="euclidean")
     g = _identity_genome(2, 2)
-    ctx_g = prepare_batch(spec_g, np.arange(n))
-    ctx_e = prepare_batch(spec_e, np.arange(n))
+    ctx_g = BatchContext(spec_g, np.arange(n))
+    ctx_e = BatchContext(spec_e, np.arange(n))
     # identity genome matches Euclidean distances exactly but not geodesics
     assert score(g, spec_e, ctx_e) == 0.0
     assert score(g, spec_g, ctx_g) > 0.01
@@ -323,11 +336,11 @@ def test_score_collapses_nonfinite_to_sentinel():
     # degenerate 1-point latent on teacher stays finite too; force inf via
     # a fitness whose target has zero distances instead
     spec = FitnessSpec(objective="dist", inputs=X, target=X, metric="euclidean")
-    ctx = prepare_batch(spec, np.arange(3))
+    ctx = BatchContext(spec, np.arange(3))
     const_genome = MultiTree((Tree(constant(0.0), 2),))
     assert np.isfinite(score(const_genome, spec, ctx))
     # the sentinel is used when the objective itself is non-finite
     bad = FitnessSpec(objective="teacher", inputs=X, target=X,
                       teacher_latent=np.full((3, 1), np.inf))
-    ctx = prepare_batch(bad, np.arange(3))
+    ctx = BatchContext(bad, np.arange(3))
     assert score(MultiTree((Tree(variable(0), 2),)), bad, ctx) == WORST_FITNESS

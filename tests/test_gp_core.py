@@ -14,7 +14,6 @@ from gpdr.gp_core import (
     constant,
     depth,
     encode,
-    eval_tree,
     eval_tree_rows,
     export_lines,
     full_tree,
@@ -36,31 +35,31 @@ def _rand_tree(rng, arity=3, dmax=5):
 
 def test_eval_basic_arithmetic():
     t = Tree(op("+", op("*", variable(0), variable(1)), constant(2.0)), 2)
-    assert eval_tree(t, [3.0, 4.0]) == 14.0
+    assert eval_tree_rows(t, np.array([[3.0, 4.0]]))[0] == 14.0
     X = np.array([[1.0, 2.0], [0.0, 5.0]])
     assert np.allclose(eval_tree_rows(t, X), [4.0, 2.0])
 
 
 def test_eval_unary_operators():
     t = Tree(op("cos", variable(0)), 1)
-    assert np.isclose(eval_tree(t, [0.0]), 1.0)
+    assert np.isclose(eval_tree_rows(t, np.array([[0.0]]))[0], 1.0)
     t = Tree(op("plog", variable(0)), 1)
-    assert np.isclose(eval_tree(t, [0.0]), np.log(PLOG_EPS))
-    assert np.isclose(eval_tree(t, [-np.e]), np.log(np.e + PLOG_EPS))
+    got = eval_tree_rows(t, np.array([[0.0], [-np.e]]))
+    assert np.allclose(got, [np.log(PLOG_EPS), np.log(np.e + PLOG_EPS)])
 
 
 def test_eval_clamps_blowups():
     big = constant(1e11)
     t = Tree(op("*", op("*", big, big), op("*", big, big)), 1)
-    assert eval_tree(t, [0.0]) == CLAMP
+    assert eval_tree_rows(t, np.array([[0.0]]))[0] == CLAMP
     t = Tree(op("-", constant(0.0), op("*", op("*", big, big), big)), 1)
-    assert eval_tree(t, [0.0]) == -CLAMP
+    assert eval_tree_rows(t, np.array([[0.0]]))[0] == -CLAMP
 
 
 def test_eval_shape_errors():
     t = Tree(variable(0), 2)
     with pytest.raises(EvalError):
-        eval_tree(t, [1.0])
+        eval_tree_rows(t, np.array([[1.0]]))
     with pytest.raises(EvalError):
         eval_tree_rows(t, np.zeros((3, 3)))
 
@@ -179,9 +178,9 @@ def test_infix_round_trip_random_trees():
 
 def test_parse_infix_unary_minus_and_errors():
     t = parse_infix("-x0 + 2", 1)
-    assert eval_tree(t, [3.0]) == -1.0
+    assert eval_tree_rows(t, np.array([[3.0]]))[0] == -1.0
     t = parse_infix("-2.5", 1)
-    assert eval_tree(t, [0.0]) == -2.5
+    assert eval_tree_rows(t, np.array([[0.0]]))[0] == -2.5
     with pytest.raises(ParseError):
         parse_infix("x0 +", 1)
     with pytest.raises(ParseError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpdr.numerics import NumericsError, check_matrix, matmul, sym_eigen
+from gpdr.numerics import NumericsError, check_matrix, sym_eigen
 
 
 def test_check_matrix_accepts_lists():
@@ -17,15 +17,6 @@ def test_check_matrix_rejects_bad_input():
         check_matrix([[1.0, np.nan]])
     with pytest.raises(NumericsError):
         check_matrix([[1.0, np.inf]])
-
-
-def test_matmul_matches_numpy_and_checks_shapes():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(4, 3))
-    b = rng.normal(size=(3, 5))
-    assert np.allclose(matmul(a, b), a @ b)
-    with pytest.raises(NumericsError):
-        matmul(a, rng.normal(size=(4, 2)))
 
 
 def test_sym_eigen_reconstructs_matrix():
