@@ -1,110 +1,122 @@
 """From-scratch random forest classifier (axis-aligned splits, Gini
 impurity, bootstrap sampling, sqrt-p feature subsets, grown to purity)
 and balanced accuracy.
+
+The forest is one set of flat node arrays. Trees are grown from an
+explicit stack in preorder (node, left subtree, right subtree), the order
+in which splits draw their features from the one generator: another
+order grows other trees, and so writes other records.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 MIN_SPLIT = 2
 
 
-@dataclass
-class _TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_TreeNode"] = None
-    right: Optional["_TreeNode"] = None
-    counts: Optional[np.ndarray] = None  # leaf class distribution
-
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-def _gini_best_split(X, y, feat_candidates, n_classes):
-    """Best (feature, threshold, gain) over the candidate features.
-
-    Uses class-count prefix sums over the sorted column, so each feature
-    costs O(n log n).
-    """
-    n = y.size
-    counts_total = np.bincount(y, minlength=n_classes).astype(np.float64)
-    parent_gini = 1.0 - np.sum((counts_total / n) ** 2)
-    best = (None, 0.0, 0.0)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
+def _gini_best_split(XT, onehot, rows, feat_candidates, counts_total):
+    """Best (feature, threshold, left class counts, left rows, right rows)
+    for ``rows`` of ``XT`` (p, n) and labels ``onehot`` (n, c), or None.
+    Class-count prefix sums over the sorted column: O(n log n) a feature."""
+    n = rows.size
+    parent_gini = 1.0 - ((counts_total / n) ** 2).sum()
+    best, best_gain = None, 0.0
     for f in feat_candidates:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
+        col = XT[f][rows]
+        order = col.argsort(kind="stable")
         xs = col[order]
-        prefix = np.cumsum(onehot[order], axis=0)  # (n, c)
+        ranked = rows[order]
+        prefix = onehot[ranked].cumsum(axis=0)  # (n, c)
         # split after position i (left = first i+1 rows); need distinct values
-        valid = np.flatnonzero(xs[:-1] < xs[1:])
+        valid = (xs[:-1] < xs[1:]).nonzero()[0]
         if valid.size == 0:
             continue
-        nl = (valid + 1).astype(np.float64)
+        nl = valid + 1.0
         nr = n - nl
         left_counts = prefix[valid]
         right_counts = counts_total - left_counts
-        gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
+        gini_l = 1.0 - ((left_counts / nl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((right_counts / nr[:, None]) ** 2).sum(axis=1)
         score = (nl * gini_l + nr * gini_r) / n
-        i = int(np.argmin(score))
+        i = score.argmin()
         gain = parent_gini - score[i]
-        if gain > best[2] + 1e-15:
+        if gain > best_gain + 1e-15:
             thr = 0.5 * (xs[valid[i]] + xs[valid[i] + 1])
-            best = (f, thr, gain)
+            # the midpoint of adjacent doubles can round up to the upper
+            # one, so `x <= thr` may take more rows left than were scored
+            n_left = xs.searchsorted(thr, side="right")
+            best_gain = gain
+            best = (f, thr, prefix[n_left - 1].copy(), ranked[:n_left],
+                    ranked[n_left:])
     return best
 
 
-def _build_tree(X, y, n_classes, max_features, rng):
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    if y.size < MIN_SPLIT or np.count_nonzero(counts) == 1:
-        return _TreeNode(counts=counts)
-    feats = rng.choice(X.shape[1], size=max_features, replace=False)
-    f, thr, gain = _gini_best_split(X, y, feats, n_classes)
-    if f is None or gain <= 0.0:
-        return _TreeNode(counts=counts)
-    mask = X[:, f] <= thr
-    return _TreeNode(
-        feature=int(f),
-        threshold=float(thr),
-        left=_build_tree(X[mask], y[mask], n_classes, max_features, rng),
-        right=_build_tree(X[~mask], y[~mask], n_classes, max_features, rng),
-    )
-
-
-def _predict_tree(node: _TreeNode, X: np.ndarray) -> np.ndarray:
-    """Class-count votes, shape (n, c)."""
-    if node.is_leaf():
-        dist = node.counts / node.counts.sum()
-        return np.tile(dist, (X.shape[0], 1))
-    mask = X[:, node.feature] <= node.threshold
-    left = _predict_tree(node.left, X[mask])
-    right = _predict_tree(node.right, X[~mask])
-    out = np.empty((X.shape[0], left.shape[1]))
-    out[mask] = left
-    out[~mask] = right
-    return out
+def _grow(X, y, n_classes, max_features, rng):
+    """One tree as node arrays (feature, threshold, left, right, class
+    distribution) in preorder; a leaf is its own left and right child."""
+    XT, onehot = np.ascontiguousarray(X.T), np.eye(n_classes)[y]
+    p, nodes = X.shape[1], []
+    # (rows, class counts, parent whose right child this is or -1, depth)
+    stack = [(np.arange(y.size),
+              np.bincount(y, minlength=n_classes).astype(np.float64), -1, 0)]
+    while stack:
+        rows, counts, parent, depth = stack.pop()
+        if depth >= sys.getrecursionlimit():  # endless all-left splits
+            raise RecursionError("tree deeper than the recursion limit")
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = node
+        nodes.append([0, 0.0, node, node, counts])
+        if rows.size < MIN_SPLIT or np.count_nonzero(counts) == 1:
+            continue
+        # integers(p) draws what choice(p, 1, replace=False) draws, faster
+        feats = ([rng.integers(p)] if max_features == 1
+                 else rng.choice(p, size=max_features, replace=False))
+        split = _gini_best_split(XT, onehot, rows, feats, counts)
+        if split is None:
+            continue
+        f, thr, left_counts, rows_l, rows_r = split
+        nodes[node][:3] = int(f), float(thr), node + 1
+        stack.append((rows_r, counts - left_counts, node, depth + 1))
+        stack.append((rows_l, left_counts, -1, depth + 1))
+    feature, threshold, left, right, counts = map(np.array, zip(*nodes))
+    # an empty leaf (see the adjacent-doubles note above) votes NaN
+    value = counts / counts.sum(axis=1, keepdims=True)
+    return feature, threshold, left, right, value
 
 
 @dataclass
 class RandomForest:
-    trees: list
+    """All trees' nodes in flat arrays; ``roots[t]`` is tree t's root."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray  # (nodes, c) class distribution, read at the leaves
+    roots: np.ndarray
     n_classes: int
     seed: int
 
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        cols = np.arange(rows.shape[0])
+        node = np.repeat(self.roots[:, None], rows.shape[0], axis=1)
+        while True:  # every tree x row one level down; leaves stay put
+            go_left = rows[cols, self.feature[node]] <= self.threshold[node]
+            step = np.where(go_left, self.left[node], self.right[node])
+            if np.array_equal(step, node):
+                break
+            node = step
         votes = np.zeros((rows.shape[0], self.n_classes))
-        for t in self.trees:
-            votes += _predict_tree(t, rows)
-        return votes / len(self.trees)
+        for leaves in node:  # in tree order, so the sums keep their bits
+            votes += self.value[leaves]
+        return votes / len(self.roots)
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(rows), axis=1)
@@ -118,20 +130,20 @@ def rf_fit(X, y, trees: int = 100, seed: int = 0) -> RandomForest:
         raise ValueError("need at least 2 training rows")
     n_classes = int(y.max()) + 1
     if len(np.unique(y)) == 1:
-        # degenerate single-class data: a constant predictor, flagged by
-        # the forest having one pure leaf
-        counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-        return RandomForest([_TreeNode(counts=counts)], n_classes, seed)
+        trees = 1  # a constant predictor: one tree of one pure leaf
     rng = np.random.default_rng(seed)
     max_features = max(1, int(math.sqrt(X.shape[1])))
-    forest = []
     n = X.shape[0]
+    grown = []
     for _ in range(trees):
         boot = rng.integers(n, size=n)
-        forest.append(
-            _build_tree(X[boot], y[boot], n_classes, max_features, rng)
-        )
-    return RandomForest(forest, n_classes, seed)
+        grown.append(_grow(X[boot], y[boot], n_classes, max_features, rng))
+    sizes = [len(tree[0]) for tree in grown]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, value = map(np.concatenate, zip(*grown))
+    offset = np.repeat(roots, sizes)
+    return RandomForest(feature, threshold, left + offset, right + offset,
+                        value, roots, n_classes, seed)
 
 
 def rf_predict(rf: RandomForest, rows: np.ndarray) -> np.ndarray:

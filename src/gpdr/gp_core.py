@@ -110,8 +110,11 @@ class AutoencoderMultiTree:
 
 
 def _clamp(a: np.ndarray) -> np.ndarray:
-    a = np.nan_to_num(a, nan=0.0, posinf=CLAMP, neginf=-CLAMP)
-    return np.clip(a, -CLAMP, CLAMP)
+    # same bits as nan_to_num(nan=0, posinf=CLAMP, neginf=-CLAMP) then
+    # clip: clip keeps NaN and maps +-inf to +-CLAMP
+    a = np.clip(a, -CLAMP, CLAMP)
+    a[np.isnan(a)] = 0.0
+    return a
 
 
 def _eval_node(node: Node, X: np.ndarray) -> np.ndarray:

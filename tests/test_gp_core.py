@@ -56,6 +56,21 @@ def test_eval_clamps_blowups():
     assert eval_tree_rows(t, np.array([[0.0]]))[0] == -CLAMP
 
 
+def test_clamp_matches_nan_to_num_then_clip_bit_for_bit():
+    from gpdr.gp_core import _clamp
+
+    tiny = np.nextafter(0.0, 1.0)
+    a = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1e300,
+                  -1e300, tiny, -tiny, 2.2e-308, CLAMP, -CLAMP,
+                  np.nextafter(CLAMP, np.inf), -np.nextafter(CLAMP, np.inf),
+                  3.5, -7.25])
+    want = np.clip(np.nan_to_num(a, nan=0.0, posinf=CLAMP, neginf=-CLAMP),
+                   -CLAMP, CLAMP)
+    before = a.tobytes()
+    assert _clamp(a).tobytes() == want.tobytes()
+    assert a.tobytes() == before  # the input, maybe a column of X, is kept
+
+
 def test_eval_shape_errors():
     t = Tree(variable(0), 2)
     with pytest.raises(EvalError):
