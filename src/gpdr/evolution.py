@@ -5,6 +5,7 @@ the final full-split re-scoring.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -28,6 +29,8 @@ from .gp_core import (
 )
 from .variation import MAX_DEPTH, VariationConfig, next_generation
 
+log = logging.getLogger(__name__)
+
 
 def _full_split_fitness(candidates, spec: FitnessSpec) -> list[float]:
     """Fitness of every candidate on the whole DR-train split.
@@ -38,6 +41,7 @@ def _full_split_fitness(candidates, spec: FitnessSpec) -> list[float]:
     objective, whose full-split evaluation is O(n^2 log n) per distinct
     output.
     """
+    t0 = time.perf_counter()
     ctx = BatchContext(spec)
     by_output: dict = {}
     fits = []
@@ -47,6 +51,10 @@ def _full_split_fitness(candidates, spec: FitnessSpec) -> list[float]:
         if key not in by_output:
             by_output[key] = score_output(spec, ctx, out)
         fits.append(by_output[key])
+    log.debug(
+        "full-split re-scoring: %d candidates, %d distinct outputs, %.3f s",
+        len(candidates), len(by_output), time.perf_counter() - t0,
+    )
     return fits
 
 

@@ -147,6 +147,31 @@ class RankTargetCache:
         return float(taus.mean())
 
 
+def _latent_slots(T: np.ndarray):
+    """Per element of each row of ``T``, in element-major layout so that
+    step i of the sweep reads one contiguous block: the strict bounds
+    ``[lo, hi)`` of its equal-value run in the row's latent-distance sort,
+    shape (m, n, 2), and its 1-based tree position, shape (m, n)."""
+    n, m = T.shape
+    ord_t = np.argsort(T, axis=1, kind="stable")
+    sv = np.take_along_axis(T, ord_t, axis=1)
+    idx = np.arange(m)
+    differs = sv[:, 1:] != sv[:, :-1]
+    first = np.concatenate([np.ones((n, 1), bool), differs], axis=1)
+    last = np.concatenate([differs, np.ones((n, 1), bool)], axis=1)
+    lo_sorted = np.maximum.accumulate(np.where(first, idx, 0), axis=1)
+    hi_sorted = np.where(last, idx + 1, m)
+    hi_sorted = np.minimum.accumulate(hi_sorted[:, ::-1], axis=1)[:, ::-1]
+    bounds = np.empty((m, n, 2), dtype=np.intp)
+    pos = np.empty((m, n), dtype=np.intp)
+    ord_e = ord_t.T
+    lanes = np.arange(n)
+    bounds[ord_e, lanes, 0] = lo_sorted.T
+    bounds[ord_e, lanes, 1] = hi_sorted.T
+    pos[ord_e, lanes] = idx[:, None] + 1
+    return bounds, pos
+
+
 class RankSweep:
     """Target-side precomputation for scoring many latent embeddings
     against one (possibly full-split) distance matrix.
@@ -160,6 +185,11 @@ class RankSweep:
     the target side are counted by the sweep and subtracted exactly
     afterwards; pairs tied on the latent side contribute zero because the
     tree is queried with strict (below-group / above-group) bounds.
+
+    The per-element order of the floating-point operations fixes the
+    records: elements are inserted in target order, each prefix sum adds
+    its tree nodes lowest bit first, and the tie corrections of a row are
+    subtracted in group order.
     """
 
     def __init__(self, D: np.ndarray, scheme: Optional[WeightScheme]):
@@ -178,89 +208,91 @@ class RankSweep:
         self.w_sorted = np.take_along_axis(w, self.order, axis=1)
         cw = np.cumsum(self.w_sorted, axis=1)
         self.cum_w = np.concatenate([np.zeros((n, 1)), cw[:, :-1]], axis=1)
-        # runs of equal target distance within a row (rare); pairs inside
-        # them carry sign 0 and must be backed out of the sweep totals
+        # runs of equal target distance within a row, as (row, start, end)
+        # in slots of the target order, by row and then by start; pairs
+        # inside them carry sign 0 and must be backed out of the sweep
+        # totals. Real splits have tens of thousands of them, nearly all
+        # pairs.
         R_sorted = np.take_along_axis(R, self.order, axis=1)
         same = R_sorted[:, 1:] == R_sorted[:, :-1]
-        self.tie_groups: list[tuple[int, int, int]] = []
-        for r in np.nonzero(same.any(axis=1))[0]:
-            i = 0
-            while i < m - 1:
-                if same[r, i]:
-                    j = i
-                    while j < m - 1 and same[r, j]:
-                        j += 1
-                    self.tie_groups.append((int(r), i, j + 1))
-                    i = j + 1
-                else:
-                    i += 1
-        size = 1
-        while size < m + 1:
-            size *= 2
-        self.tree_size = size
-        self.tree_bits = size.bit_length()
+        edges = np.diff(np.pad(same, ((0, 0), (1, 1))).view(np.int8), axis=1)
+        starts = np.flatnonzero(edges == 1)
+        self.tie_rows = starts // m
+        self.tie_starts = starts % m
+        self.tie_ends = np.flatnonzero(edges == -1) % m + 1
+        # Fenwick node j holds the sum over slots (j - lowbit(j), j]. Queries
+        # never pass slot m, so a lane's tree is nodes 0..m, where 0 is a
+        # zero sentinel that ends every query walk, plus a spill node m + 1
+        # that ends every update walk and is never read. Slots up to m have
+        # at most m.bit_length() set bits, and no walk visits more nodes.
+        slots = np.arange(m + 1)
+        query, update = [slots], [slots]
+        for _ in range(1, m.bit_length()):
+            q, p = query[-1], update[-1]
+            query.append(q & (q - 1))
+            update.append(np.minimum(p + (p & -p), m + 1))
+        # query_paths[:, q]: the nodes whose sum is the prefix up to slot q
+        self.query_paths = np.stack(query)
+        # update_paths[p]: the nodes that cover slot p
+        self.update_paths = np.stack(update, axis=1)
 
     def tau_per_row(self, D_tilde: np.ndarray) -> np.ndarray:
         n, m = self.n, self.m
         T = np.take_along_axis(_strip_diagonal(D_tilde), self.order, axis=1)
-        # per element: its slot in the row's latent-distance sort, plus the
-        # strict bounds of its equal-value run ([lo, hi) in slot coords)
-        ord_t = np.argsort(T, axis=1, kind="stable")
-        sv = np.take_along_axis(T, ord_t, axis=1)
-        idx = np.arange(m)
-        differs = sv[:, 1:] != sv[:, :-1]
-        first = np.concatenate([np.ones((n, 1), bool), differs], axis=1)
-        last = np.concatenate([differs, np.ones((n, 1), bool)], axis=1)
-        lo_sorted = np.maximum.accumulate(np.where(first, idx, 0), axis=1)
-        hi_sorted = np.where(last, idx + 1, m)
-        hi_sorted = np.minimum.accumulate(hi_sorted[:, ::-1], axis=1)[:, ::-1]
-        broadcast_idx = np.broadcast_to(idx, (n, m))
-        slot = np.empty((n, m), dtype=np.int64)
-        lo = np.empty((n, m), dtype=np.int64)
-        hi = np.empty((n, m), dtype=np.int64)
-        np.put_along_axis(slot, ord_t, broadcast_idx, axis=1)
-        np.put_along_axis(lo, ord_t, lo_sorted, axis=1)
-        np.put_along_axis(hi, ord_t, hi_sorted, axis=1)
-
-        lanes = np.arange(n)
-        tree_c = np.zeros((n, self.tree_size + 1))
-        tree_w = np.zeros((n, self.tree_size + 1))
+        bounds, pos = _latent_slots(T)
+        # every tree node holds (count, weight) as one complex128, so one
+        # gather and one add serve both; complex addition and subtraction
+        # are componentwise, so each count and weight sees the same IEEE
+        # operations as with two real arrays. Lane r owns the nodes
+        # [r * (m + 2), (r + 1) * (m + 2)).
+        nodes = np.zeros(n * (m + 2), dtype=np.complex128)
+        base = np.arange(n)[:, None] * (m + 2)
+        # what an insertion adds to each node on its path: a count of one
+        # and the element's weight
+        step = np.empty((m, n, 1), dtype=np.complex128)
+        step.real = 1.0
+        step.imag = self.w_sorted.T[:, :, None]
+        # what the upper query is taken from: the count and the weight of
+        # the elements inserted before this one
+        seen = np.empty((m, n), dtype=np.complex128)
+        seen.real = np.arange(m)[:, None]
+        seen.imag = self.cum_w.T
         num = np.zeros(n)
         for i in range(m):
             # prefix sums below the element's value run (strictly smaller
-            # latent distance) and up to its end (smaller or equal); index
-            # 0 is a zero sentinel so the loop needs no masking
-            ql = lo[:, i].copy()
-            qh = hi[:, i].copy()
-            c_lo = np.zeros(n)
-            w_lo = np.zeros(n)
-            c_hi = np.zeros(n)
-            w_hi = np.zeros(n)
-            for _ in range(self.tree_bits):
-                c_lo += tree_c[lanes, ql]
-                w_lo += tree_w[lanes, ql]
-                c_hi += tree_c[lanes, qh]
-                w_hi += tree_w[lanes, qh]
-                ql &= ql - 1
-                qh &= qh - 1
-            wi = self.w_sorted[:, i]
-            c_gt = i - c_hi
-            w_gt = self.cum_w[:, i] - w_hi
-            num += (w_lo + wi * c_lo) - (w_gt + wi * c_gt)
-            pos = slot[:, i] + 1
-            for _ in range(self.tree_bits):
-                tree_c[lanes, pos] += 1.0
-                tree_w[lanes, pos] += wi
-                # clamping at the root keeps the walk in bounds; the root
-                # node is never read because queries stay below it
-                pos = np.minimum(pos + (pos & -pos), self.tree_size)
-        for r, a, b in self.tie_groups:
-            t = T[r, a:b]
-            wv = self.w_sorted[r, a:b]
-            ju, lu = np.triu_indices(b - a, 1)
-            s = np.sign(t[lu] - t[ju])
-            num[r] -= np.sum((wv[ju] + wv[lu]) * s)
+            # latent distance) and up to its end (smaller or equal), added
+            # node by node in path order
+            part = nodes.take(self.query_paths.take(bounds[i], axis=1) + base)
+            s = part[0].copy()
+            for b in range(1, len(part)):
+                s += part[b]
+            # the upper side becomes the count and weight above the run
+            s[:, 1] = seen[i] - s[:, 1]
+            cw = s.view(np.float64)
+            t = cw[:, 1::2] + step[i].imag * cw[:, 0::2]
+            num += t[:, 0] - t[:, 1]
+            nodes[self.update_paths.take(pos[i], axis=0) + base] += step[i]
+        corr = self._tie_corrections(T)
+        np.subtract.at(num, self.tie_rows, corr)
         return num / self.total_w
+
+    def _tie_corrections(self, T: np.ndarray) -> np.ndarray:
+        """Concordance the sweep counted inside each target tie group, in
+        group order."""
+        rows, a, b = self.tie_rows, self.tie_starts, self.tie_ends
+        corr = np.empty(rows.size)
+        pair = b - a == 2
+        r2, a2 = rows[pair], a[pair]
+        wv = self.w_sorted[r2, a2] + self.w_sorted[r2, a2 + 1]
+        corr[pair] = wv * np.sign(T[r2, a2 + 1] - T[r2, a2])
+        for g in np.flatnonzero(~pair):
+            r = rows[g]
+            t = T[r, a[g]:b[g]]
+            wv = self.w_sorted[r, a[g]:b[g]]
+            ju, lu = np.triu_indices(b[g] - a[g], 1)
+            s = np.sign(t[lu] - t[ju])
+            corr[g] = np.sum((wv[ju] + wv[lu]) * s)
+        return corr
 
     def mean_tau(self, D_tilde: np.ndarray) -> float:
         return float(self.tau_per_row(D_tilde).mean())

@@ -34,6 +34,8 @@ REPO = Path(__file__).resolve().parents[1]
 SEGMENTATION = REPO / "data" / "segmentation.csv"
 CACHE = Path(__file__).resolve().parent / "_acceptance_cache"
 
+pytestmark = pytest.mark.acceptance
+
 
 def _report(criterion: int, passed: bool, detail: str = ""):
     tail = f" - {detail}" if detail else ""

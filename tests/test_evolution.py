@@ -1,8 +1,11 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from gpdr.distances import pairwise_euclidean
-from gpdr.evolution import GpRunConfig, evolve
+from gpdr.evolution import GpRunConfig, _full_split_fitness, evolve
 from gpdr.fitness import (
     FitnessSpec,
     linear_scaling,
@@ -204,3 +207,22 @@ def test_evolve_dist_objective_identity_is_optimal():
                                   pairwise_euclidean(encode(ident, X)))
     assert best_possible == 0.0
     assert res.best_fitness < 0.5  # evolved stress is at least in range
+
+
+def test_full_split_rescoring_logs_counts_at_debug(caplog):
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(30, 3))
+    spec = FitnessSpec(objective="rank", inputs=X, target=X,
+                       metric="euclidean")
+    a = MultiTree((Tree(variable(0), 3), Tree(variable(1), 3)))
+    b = MultiTree((Tree(variable(0), 3), Tree(variable(2), 3)))
+    same_as_a = MultiTree((Tree(variable(0), 3), Tree(variable(1), 3)))
+    with caplog.at_level(logging.DEBUG, logger="gpdr.evolution"):
+        fits = _full_split_fitness([a, b, same_as_a], spec)
+    assert fits[0] == fits[2]
+    [record] = [r for r in caplog.records if r.name == "gpdr.evolution"]
+    assert record.levelno == logging.DEBUG
+    match = re.fullmatch(
+        r"full-split re-scoring: 3 candidates, 2 distinct outputs, "
+        r"(\d+\.\d{3}) s", record.getMessage())
+    assert match and float(match.group(1)) >= 0.0

@@ -344,3 +344,145 @@ def test_score_collapses_nonfinite_to_sentinel():
                       teacher_latent=np.full((3, 1), np.inf))
     ctx = BatchContext(bad, np.arange(3))
     assert score(MultiTree((Tree(variable(0), 2),)), bad, ctx) == WORST_FITNESS
+
+
+def _oracle_strip_diagonal(D):
+    n = D.shape[0]
+    return D[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+
+class _OracleSweep:
+    """The lane-by-lane Fenwick sweep as it stood before the fused kernel,
+    kept verbatim as the byte-level reference for ``RankSweep``: the
+    per-element operation order of this code is what the records hold."""
+
+    def __init__(self, D, scheme):
+        R = _oracle_strip_diagonal(np.asarray(D, dtype=np.float64))
+        n, m = R.shape
+        self.n, self.m = n, m
+        if scheme is None:
+            w = np.full((n, m), 0.5)
+        else:
+            ranks = np.argsort(np.argsort(R, axis=1, kind="stable"), axis=1)
+            w = scheme.weight(ranks.astype(np.float64))
+        self.total_w = (m - 1) * w.sum(axis=1)
+        self.order = np.argsort(R, axis=1, kind="stable")
+        self.w_sorted = np.take_along_axis(w, self.order, axis=1)
+        cw = np.cumsum(self.w_sorted, axis=1)
+        self.cum_w = np.concatenate([np.zeros((n, 1)), cw[:, :-1]], axis=1)
+        R_sorted = np.take_along_axis(R, self.order, axis=1)
+        same = R_sorted[:, 1:] == R_sorted[:, :-1]
+        self.tie_groups = []
+        for r in np.nonzero(same.any(axis=1))[0]:
+            i = 0
+            while i < m - 1:
+                if same[r, i]:
+                    j = i
+                    while j < m - 1 and same[r, j]:
+                        j += 1
+                    self.tie_groups.append((int(r), i, j + 1))
+                    i = j + 1
+                else:
+                    i += 1
+        size = 1
+        while size < m + 1:
+            size *= 2
+        self.tree_size = size
+        self.tree_bits = size.bit_length()
+
+    def tau_per_row(self, D_tilde):
+        n, m = self.n, self.m
+        T = np.take_along_axis(_oracle_strip_diagonal(D_tilde), self.order,
+                               axis=1)
+        ord_t = np.argsort(T, axis=1, kind="stable")
+        sv = np.take_along_axis(T, ord_t, axis=1)
+        idx = np.arange(m)
+        differs = sv[:, 1:] != sv[:, :-1]
+        first = np.concatenate([np.ones((n, 1), bool), differs], axis=1)
+        last = np.concatenate([differs, np.ones((n, 1), bool)], axis=1)
+        lo_sorted = np.maximum.accumulate(np.where(first, idx, 0), axis=1)
+        hi_sorted = np.where(last, idx + 1, m)
+        hi_sorted = np.minimum.accumulate(hi_sorted[:, ::-1], axis=1)[:, ::-1]
+        broadcast_idx = np.broadcast_to(idx, (n, m))
+        slot = np.empty((n, m), dtype=np.int64)
+        lo = np.empty((n, m), dtype=np.int64)
+        hi = np.empty((n, m), dtype=np.int64)
+        np.put_along_axis(slot, ord_t, broadcast_idx, axis=1)
+        np.put_along_axis(lo, ord_t, lo_sorted, axis=1)
+        np.put_along_axis(hi, ord_t, hi_sorted, axis=1)
+
+        lanes = np.arange(n)
+        tree_c = np.zeros((n, self.tree_size + 1))
+        tree_w = np.zeros((n, self.tree_size + 1))
+        num = np.zeros(n)
+        for i in range(m):
+            ql = lo[:, i].copy()
+            qh = hi[:, i].copy()
+            c_lo = np.zeros(n)
+            w_lo = np.zeros(n)
+            c_hi = np.zeros(n)
+            w_hi = np.zeros(n)
+            for _ in range(self.tree_bits):
+                c_lo += tree_c[lanes, ql]
+                w_lo += tree_w[lanes, ql]
+                c_hi += tree_c[lanes, qh]
+                w_hi += tree_w[lanes, qh]
+                ql &= ql - 1
+                qh &= qh - 1
+            wi = self.w_sorted[:, i]
+            c_gt = i - c_hi
+            w_gt = self.cum_w[:, i] - w_hi
+            num += (w_lo + wi * c_lo) - (w_gt + wi * c_gt)
+            pos = slot[:, i] + 1
+            for _ in range(self.tree_bits):
+                tree_c[lanes, pos] += 1.0
+                tree_w[lanes, pos] += wi
+                pos = np.minimum(pos + (pos & -pos), self.tree_size)
+        for r, a, b in self.tie_groups:
+            t = T[r, a:b]
+            wv = self.w_sorted[r, a:b]
+            ju, lu = np.triu_indices(b - a, 1)
+            s = np.sign(t[lu] - t[ju])
+            num[r] -= np.sum((wv[ju] + wv[lu]) * s)
+        return num / self.total_w
+
+
+def _rank_inputs(rng, data, n):
+    """A target sample and three latents of ``n`` rows."""
+    if data == "continuous":
+        return rng.normal(size=(n, 4)), [rng.normal(size=(n, 2))
+                                         for _ in range(3)]
+    if data == "grid":
+        # ties on both sides, with target tie groups of more than two
+        return (rng.integers(0, 3, size=(n, 2)).astype(float),
+                [rng.integers(0, 3, size=(n, 2)).astype(float)
+                 for _ in range(3)])
+    # duplicate rows: zero target distances, mapped to equal latents
+    X = rng.normal(size=(n, 4))
+    copies = rng.integers(0, n, size=n // 3)
+    X[rng.permutation(n)[:copies.size]] = X[copies]
+    return X, [np.tanh(X[:, :2] * rng.normal(size=2)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("data", ["continuous", "grid", "duplicates"])
+@pytest.mark.parametrize("scheme", [HYPERBOLIC, WeightScheme("uniform"), None],
+                         ids=["hyperbolic", "uniform", "plain"])
+def test_rank_sweep_matches_oracle_bytes(scheme, data):
+    rng = np.random.default_rng(11)
+    large_groups = 0
+    # m + 1 = n rows per lane, on both sides of the power-of-two edges;
+    # at n = 200 the prefix sums add eight nodes, where numpy's pairwise
+    # summation would start to reorder them
+    for n in (7, 8, 9, 15, 16, 17, 32, 33, 200):
+        X, latents = _rank_inputs(rng, data, n)
+        D = pairwise_euclidean(X)
+        sweep, oracle = RankSweep(D, scheme), _OracleSweep(D, scheme)
+        groups = zip(sweep.tie_rows, sweep.tie_starts, sweep.tie_ends)
+        assert list(groups) == oracle.tie_groups
+        large_groups += sum(b - a > 2 for _, a, b in oracle.tie_groups)
+        for L in latents:
+            Dt = pairwise_euclidean(L)
+            assert (sweep.tau_per_row(Dt).tobytes()
+                    == oracle.tau_per_row(Dt).tobytes())
+    if data == "grid":
+        assert large_groups > 0
