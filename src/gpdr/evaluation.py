@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import DrModel
-from .forest import balanced_accuracy, rf_fit, rf_predict
+from .forest import balanced_accuracy, rf_fold_proba
 from .neural import TrainConfig, train_decoder
 
 SIGNIFICANCE_LEVELS = (0.1, 0.05, 0.01)
@@ -141,17 +141,17 @@ def evaluate(
     rng = np.random.default_rng(seed)
     folds = _stratified_folds(labels, folds_used, rng)
 
-    accs, errs = [], []
-    for f, test_idx in enumerate(folds):
-        train_mask = np.ones(n, dtype=bool)
-        train_mask[test_idx] = False
-        rf = rf_fit(latent[train_mask], labels[train_mask],
-                    trees=rf_trees, seed=seed + 7919 * f)
-        pred = rf_predict(rf, latent[test_idx])
-        accs.append(balanced_accuracy(labels[test_idx], pred))
+    trains = [np.delete(np.arange(n), test_idx) for test_idx in folds]
+    probas = rf_fold_proba(latent, labels, list(zip(trains, folds)),
+                           [seed + 7919 * f for f in range(len(folds))],
+                           trees=rf_trees)
 
+    accs, errs = [], []
+    for f, (train_idx, test_idx, proba) in enumerate(zip(trains, folds,
+                                                         probas)):
+        accs.append(balanced_accuracy(labels[test_idx], proba.argmax(axis=1)))
         cfg = replace(decoder_cfg or TrainConfig(), seed=seed + 104729 * f)
-        dec = train_decoder(latent[train_mask], heldout_target[train_mask], cfg)
+        dec = train_decoder(latent[train_idx], heldout_target[train_idx], cfg)
         recon = dec.forward(latent[test_idx])
         errs.append(float(np.mean((recon - heldout_target[test_idx]) ** 2)))
 

@@ -73,6 +73,8 @@ class GpRunConfig:
     def __post_init__(self):
         if self.population < 2 or self.generations < 1:
             raise ValueError("population >= 2 and generations >= 1 required")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.representation not in ("multi_tree", "autoencoder"):
             raise ValueError(f"unknown representation {self.representation!r}")
 
@@ -115,6 +117,12 @@ def evolve(
     rng = np.random.default_rng(cfg.seed)
     n = spec.inputs.shape[0]
     p = spec.inputs.shape[1]
+    if spec.objective == "rank" and min(cfg.batch_size, n) < 3:
+        # a batch of 2 rows has no pair weight: every genome would score NaN
+        raise ValueError(
+            f"objective 'rank' needs batches of at least 3 rows, got "
+            f"{min(cfg.batch_size, n)}"
+        )
 
     if cfg.representation == "autoencoder":
         pop = ramped_autoencoders(

@@ -74,6 +74,9 @@ class ExperimentConfig:
                 raise ExperimentError(f"unknown method {m!r}")
         if self.runs < 1 or any(k < 1 for k in self.k_list):
             raise ExperimentError("runs >= 1 and k >= 1 required")
+        if self.batch_size < 1:
+            raise ExperimentError(
+                f"batch_size must be >= 1, got {self.batch_size}")
 
     def apply_desk_scale(self):
         """Reduced-budget preset for acceptance-style runs."""

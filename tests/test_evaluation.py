@@ -9,6 +9,7 @@ from gpdr.evaluation import (
     mann_whitney_u,
     significance_stars,
 )
+from gpdr.forest import balanced_accuracy
 from gpdr.neural import TrainConfig
 
 
@@ -128,3 +129,44 @@ def test_evaluate_reduces_folds_for_rare_classes():
         res = evaluate(model, X, labels, target, seed=0,
                        decoder_cfg=TrainConfig(epochs=5, seed=0))
     assert len(res.fold_accuracies) == 4
+
+
+def _oracle_fold_accuracies(model, X, labels, seed, n_folds, rf_trees):
+    """Each fold's balanced accuracy from the recursive oracle forest, one
+    fold after another, with evaluate's folds and seeds."""
+    from test_forest import _oracle_proba
+
+    latent = model.transform(X)
+    folds = _stratified_folds(labels, n_folds, np.random.default_rng(seed))
+    accs = []
+    for f, test_idx in enumerate(folds):
+        train = np.setdiff1d(np.arange(len(labels)), test_idx)
+        proba = _oracle_proba(latent[train], labels[train], latent[test_idx],
+                              rf_trees, seed + 7919 * f)
+        accs.append(balanced_accuracy(labels[test_idx], proba.argmax(axis=1)))
+    return accs
+
+
+def test_evaluate_fold_accuracies_match_per_fold_oracle():
+    X, labels, target = _toy_problem(seed=8)
+    X[:, 0] += np.random.default_rng(8).normal(size=len(labels))  # overlap
+    model = DrModel(kind="pca", k=2, model=pca_fit(X, 2))
+    res = evaluate(model, X, labels, target, seed=3, rf_trees=12,
+                   decoder_cfg=TrainConfig(epochs=2, seed=0))
+    assert len(res.fold_accuracies) == 10
+    assert res.fold_accuracies == _oracle_fold_accuracies(
+        model, X, labels, seed=3, n_folds=10, rf_trees=12)
+
+
+def test_evaluate_reduced_folds_match_per_fold_oracle():
+    X, labels, target = _toy_problem(seed=6, n=60)
+    labels = labels.copy()
+    labels[:] = 0
+    labels[:4] = 1
+    model = DrModel(kind="pca", k=2, model=pca_fit(X, 2))
+    with pytest.warns(UserWarning, match="reducing folds"):
+        res = evaluate(model, X, labels, target, seed=0, rf_trees=12,
+                       decoder_cfg=TrainConfig(epochs=2, seed=0))
+    assert len(res.fold_accuracies) == 4
+    assert res.fold_accuracies == _oracle_fold_accuracies(
+        model, X, labels, seed=0, n_folds=4, rf_trees=12)

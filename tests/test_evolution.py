@@ -43,6 +43,29 @@ def test_config_validation():
         GpRunConfig(representation="mystery")
 
 
+def test_batch_size_must_be_positive():
+    with pytest.raises(ValueError, match="batch_size"):
+        GpRunConfig(batch_size=0)
+    with pytest.raises(ValueError, match="batch_size"):
+        GpRunConfig(batch_size=-3)
+
+
+def test_rank_objective_rejects_batches_under_three_rows():
+    # a 2-row batch has no weighted pair, so every genome scored NaN and
+    # evolution selected blindly: history == [inf, inf, inf, inf]
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    spec = FitnessSpec("rank", X, X, metric="euclidean")
+    with pytest.raises(ValueError, match="'rank'"):
+        evolve(spec, GpRunConfig(population=20, generations=4, batch_size=2))
+    # the effective batch is min(batch_size, rows)
+    with pytest.raises(ValueError, match="'rank'"):
+        evolve(FitnessSpec("rank", X[:2], X[:2], metric="euclidean"),
+               GpRunConfig(population=20, generations=4, batch_size=100))
+    res = evolve(spec, GpRunConfig(population=20, generations=4, batch_size=3))
+    assert len(res.history) == 4 and np.isfinite(res.history).all()
+    assert np.isfinite(res.best_fitness)
+
+
 def test_evolve_learns_easy_teacher():
     rng = np.random.default_rng(0)
     spec = _teacher_spec(rng)

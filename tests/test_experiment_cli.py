@@ -59,6 +59,8 @@ def test_config_validation(toy_csv):
         ExperimentConfig(dataset_path=toy_csv, methods=["nope"])
     with pytest.raises(ExperimentError):
         ExperimentConfig(dataset_path=toy_csv, runs=0)
+    with pytest.raises(ExperimentError, match="batch_size"):
+        ExperimentConfig(dataset_path=toy_csv, batch_size=0)
     cfg = ExperimentConfig(dataset_path=toy_csv)
     cfg.apply_desk_scale()
     assert (cfg.population, cfg.generations, cfg.runs, cfg.batch_size) == \
@@ -87,6 +89,17 @@ def test_config_from_yaml_rejects_unknown_keys(toy_csv, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.output and "populaton" in result.output
+
+
+def test_cli_run_rejects_nonpositive_batch_size(toy_csv, tmp_path):
+    r = CliRunner().invoke(main, [
+        "run", "--dataset", toy_csv, "--label-column", "label",
+        "--method", "pca", "--k", "2", "--runs", "1",
+        "--output-dir", str(tmp_path / "results"), "--batch-size", "0",
+    ])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert "error:" in r.output and "batch_size" in r.output
 
 
 def test_derive_seed_is_stable_and_distinct():

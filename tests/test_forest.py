@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from gpdr.forest import RandomForest, balanced_accuracy, rf_fit, rf_predict
+from gpdr.forest import RandomForest, balanced_accuracy, rf_fit, rf_fold_proba
 
 
 def test_forest_memorizes_small_dataset():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 2, 3])
     rf = rf_fit(X, y, trees=25, seed=0)
-    assert np.array_equal(rf_predict(rf, X), y)
+    assert np.array_equal(rf.predict(X), y)
 
 
 def test_forest_learns_separable_classes():
@@ -19,7 +19,7 @@ def test_forest_learns_separable_classes():
     y = np.repeat([0, 1], 40)
     rf = rf_fit(X, y, trees=30, seed=1)
     grid = rng.normal(size=(30, 2)) - 3.0
-    assert np.mean(rf_predict(rf, grid) == 0) > 0.9
+    assert np.mean(rf.predict(grid) == 0) > 0.9
 
 
 def test_forest_is_seeded():
@@ -47,7 +47,7 @@ def test_single_class_degenerates_to_constant():
     X = np.arange(10, dtype=float).reshape(5, 2)
     rf = rf_fit(X, np.full(5, 2), trees=5, seed=0)
     assert isinstance(rf, RandomForest)
-    assert np.all(rf_predict(rf, X) == 2)
+    assert np.all(rf.predict(X) == 2)
 
 
 def test_rf_fit_input_checks():
@@ -216,6 +216,130 @@ def test_endless_all_left_splits_raise_like_the_recursion(p):
         _oracle_proba(X, y, X, trees=1, seed=0)
     with pytest.raises(RecursionError):
         rf_fit(X, y, trees=1, seed=0)
+
+
+# --- lockstep forests: fold by fold, the forest grown alone -------------
+
+
+def _folds(n, n_folds, seed):
+    perm = np.random.default_rng(seed).permutation(n)
+    return [(np.setdiff1d(np.arange(n), held), np.sort(held))
+            for held in np.array_split(perm, n_folds)]
+
+
+def _assert_lockstep_matches_oracle(X, y, folds, trees):
+    seeds = [11 + 7919 * f for f in range(len(folds))]
+    with np.errstate(invalid="ignore"):
+        got = rf_fold_proba(X, y, folds, seeds, trees=trees)
+        assert len(got) == len(folds)
+        for (train, held), seed, proba in zip(folds, seeds, got):
+            want = _oracle_proba(X[train], y[train], X[held], trees, seed)
+            alone = rf_fit(X[train], y[train], trees, seed)
+            assert proba.shape == want.shape
+            assert proba.tobytes() == want.tobytes()
+            assert proba.tobytes() == alone.predict_proba(X[held]).tobytes()
+    return got
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_lockstep_forests_match_oracle_fold_by_fold(p):
+    # 71 rows in 10 folds: training sets of 63 and 64 rows; p=5 draws two
+    # candidates per split through rng.choice
+    rng = np.random.default_rng(40 + p)
+    X = np.round(rng.normal(size=(71, p)), 1)  # ties within columns
+    y = rng.integers(4, size=71)
+    y[:35] = X[:35, 0] > 0
+    folds = _folds(71, 10, p)
+    assert {train.size for train, _ in folds} == {63, 64}
+    _assert_lockstep_matches_oracle(X, y, folds, trees=8)
+
+
+def test_lockstep_forests_with_different_class_counts():
+    # 9 classes in all; leaving out the rows of classes 7 and 8 gives
+    # forests of 7, 8 and 9 classes, whose Gini sums have other lengths.
+    # On this data, summing the 7-class Gini over a zero-padded 9-class
+    # axis rounds one split's score differently and grows another forest
+    rng = np.random.default_rng(15)
+    X = np.round(rng.normal(size=(90, 2)), 1)
+    y = rng.integers(7, size=90)
+    y[:4], y[4:8] = 8, 7
+    rest = np.arange(8, 90)
+    folds = [(rest, np.arange(8)), (np.arange(4, 80), np.arange(80, 90)),
+             (np.arange(60), np.arange(60, 90)),
+             (np.arange(70), np.arange(70, 90))]
+    got = _assert_lockstep_matches_oracle(X, y, folds, trees=10)
+    assert [proba.shape[1] for proba in got] == [7, 8, 9, 9]
+
+
+def test_lockstep_forests_with_a_single_class_fold():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(60, 2))
+    y = np.zeros(60, dtype=int)
+    y[:5], y[30:40] = 1, 2
+    folds = [(np.arange(5, 30), np.arange(5))] + _folds(60, 4, 8)
+    got = _assert_lockstep_matches_oracle(X, y, folds, trees=6)
+    assert got[0].shape == (5, 1) and (got[0] == 1.0).all()
+
+
+def test_lockstep_forests_keep_the_empty_leaf_of_adjacent_doubles():
+    a, b = -1.0514722790917788, -1.0514722790917785
+    rng = np.random.default_rng(5)
+    x1 = rng.normal(size=40)
+    X = np.column_stack([np.where(np.arange(40) % 2, b, a), x1])
+    y = (np.arange(40) % 2) ^ (x1 > 1.0)
+    probe = np.column_stack([np.linspace(-1.06, -1.04, 9), np.zeros(9)])
+    X, y = np.vstack([X, probe]), np.concatenate([y, np.zeros(9, int)])
+    held = np.arange(40, 49)
+    folds = [(np.arange(40), held)] + [
+        (np.setdiff1d(np.arange(40), np.arange(f, 40, 4)), held)
+        for f in range(3)]
+    got = _assert_lockstep_matches_oracle(X, y, folds, trees=10)
+    assert np.isnan(got[0][-1]).all()
+
+
+def test_lockstep_endless_all_left_split_raises():
+    a, b = -1.0514722790917788, -1.0514722790917785
+    rng = np.random.default_rng(9)
+    X = np.vstack([np.array([[a, a], [b, b]] * 5), rng.normal(size=(30, 2))])
+    y = np.concatenate([np.arange(10) % 2, rng.integers(2, size=30)])
+    folds = [(np.arange(10, 40), np.arange(5)), (np.arange(10), np.arange(5))]
+    with pytest.raises(RecursionError):
+        _oracle_proba(X[:10], y[:10], X[:5], trees=1, seed=0)
+    with pytest.raises(RecursionError):
+        rf_fold_proba(X, y, folds, [0, 0], trees=1)
+
+
+def test_lockstep_rejects_tiny_training_sets():
+    X = np.arange(8, dtype=float).reshape(4, 2)
+    with pytest.raises(ValueError):
+        rf_fold_proba(X, [0, 1, 0, 1], [(np.arange(3), [3]), ([0], [3])],
+                      [0, 1])
+    with pytest.raises(ValueError, match="2 folds but 1 seeds"):
+        rf_fold_proba(X, [0, 1, 0, 1], [(np.arange(3), [3])] * 2, [0])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_integers_block_draws_like_scalar_draws(p):
+    # the builder draws a tree's candidate features as one block
+    # integers(p, size=K) after its bootstrap draw, then puts back the
+    # state from before the block and re-draws the count it used
+    for seed in range(300):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        n = 20 + seed % 50
+        assert np.array_equal(a.integers(n, size=n), b.integers(n, size=n))
+        K = 1 + seed % 97
+        saved = a.bit_generator.state
+        assert a.integers(p, size=K).tolist() == [
+            b.integers(p) for _ in range(K)]
+        assert a.bit_generator.state == b.bit_generator.state
+        used = seed % (K + 1)
+        a.bit_generator.state = saved
+        a.integers(p, size=used)
+        c = np.random.default_rng(seed)
+        c.integers(n, size=n)
+        for _ in range(used):
+            c.integers(p)
+        assert a.bit_generator.state == c.bit_generator.state
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
