@@ -14,7 +14,7 @@ import numpy as np
 
 from .baselines import DrModel
 from .forest import balanced_accuracy, rf_fold_proba
-from .neural import TrainConfig, train_decoder
+from .neural import TrainConfig, train_decoders
 
 SIGNIFICANCE_LEVELS = (0.1, 0.05, 0.01)
 
@@ -124,7 +124,8 @@ def evaluate(
     ``heldout_X`` are standardized features (the DR model's input space);
     ``heldout_target`` are their PCA-space coordinates, the reconstruction
     target. Per fold: forest on 9/10 of the latent rows scored on the
-    remaining 1/10, and a decoder latent->target trained likewise.
+    remaining 1/10, and a decoder latent->target trained likewise. The
+    fold forests grow in lockstep and the fold decoders train as one stack.
     """
     latent = model.transform(heldout_X)
     labels = np.asarray(heldout_labels, dtype=np.intp)
@@ -146,12 +147,16 @@ def evaluate(
                            [seed + 7919 * f for f in range(len(folds))],
                            trees=rf_trees)
 
+    decoders = train_decoders(
+        [latent[train_idx] for train_idx in trains],
+        [heldout_target[train_idx] for train_idx in trains],
+        [replace(decoder_cfg or TrainConfig(), seed=seed + 104729 * f)
+         for f in range(len(folds))],
+    )
+
     accs, errs = [], []
-    for f, (train_idx, test_idx, proba) in enumerate(zip(trains, folds,
-                                                         probas)):
+    for test_idx, proba, dec in zip(folds, probas, decoders):
         accs.append(balanced_accuracy(labels[test_idx], proba.argmax(axis=1)))
-        cfg = replace(decoder_cfg or TrainConfig(), seed=seed + 104729 * f)
-        dec = train_decoder(latent[train_idx], heldout_target[train_idx], cfg)
         recon = dec.forward(latent[test_idx])
         errs.append(float(np.mean((recon - heldout_target[test_idx]) ** 2)))
 

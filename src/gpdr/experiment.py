@@ -47,6 +47,11 @@ class ExperimentError(ValueError):
     pass
 
 
+def _is_count(value, least: int) -> bool:
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= least)
+
+
 @dataclass
 class ExperimentConfig:
     dataset_path: str
@@ -72,11 +77,21 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ExperimentError(f"unknown method {m!r}")
-        if self.runs < 1 or any(k < 1 for k in self.k_list):
-            raise ExperimentError("runs >= 1 and k >= 1 required")
-        if self.batch_size < 1:
+        if not all(_is_count(k, 1) for k in self.k_list):
             raise ExperimentError(
-                f"batch_size must be >= 1, got {self.batch_size}")
+                f"k must be integers >= 1, got {list(self.k_list)!r}")
+        for name, least in (("runs", 1), ("batch_size", 1),
+                            ("decoder_epochs", 1), ("teacher_epochs", 1),
+                            ("generations", 1), ("population", 2),
+                            ("n_neighbors", 1), ("workers", 1)):
+            value = getattr(self, name)
+            if not _is_count(value, least):
+                raise ExperimentError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
+        if (not isinstance(self.dr_fraction, (int, float))
+                or not 0 < self.dr_fraction < 1):
+            raise ExperimentError(
+                f"dr_fraction must lie in (0, 1), got {self.dr_fraction!r}")
 
     def apply_desk_scale(self):
         """Reduced-budget preset for acceptance-style runs."""

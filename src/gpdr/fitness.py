@@ -45,25 +45,39 @@ class WeightScheme:
 HYPERBOLIC = WeightScheme("hyperbolic")
 
 
-def sammon_stress(D: np.ndarray, D_tilde: np.ndarray) -> float:
-    """(1/sum d_ij) * sum (d_ij - d~_ij)^2 / d_ij over pairs i<j.
+class SammonTarget:
+    """Target side of Sammon stress, built once per distance matrix D: the
+    pairs i<j that are kept, their distances d and the normalizer sum d.
 
     Near-zero original distances (duplicate points) are skipped in both
     sums so they cannot blow up the normalizer.
     """
-    D = np.asarray(D, dtype=np.float64)
-    D_tilde = np.asarray(D_tilde, dtype=np.float64)
-    if D.shape != D_tilde.shape:
-        raise FitnessError(f"shape mismatch: {D.shape} vs {D_tilde.shape}")
-    iu = np.triu_indices(D.shape[0], 1)
-    d = D[iu]
-    dt = D_tilde[iu]
-    keep = d > ZERO_DISTANCE_TOL
-    d = d[keep]
-    dt = dt[keep]
-    if d.size == 0:
-        raise FitnessError("degenerate target: no positive distances")
-    return float(np.sum((d - dt) ** 2 / d) / np.sum(d))
+
+    def __init__(self, D: np.ndarray):
+        D = np.asarray(D, dtype=np.float64)
+        self.shape = D.shape
+        # kept pairs as a mask, which selects them in row-major order, the
+        # order of np.triu_indices
+        self.keep = np.triu(D > ZERO_DISTANCE_TOL, 1)
+        self.d = D[self.keep]
+        self.total = np.sum(self.d)
+
+    def stress(self, D_tilde: np.ndarray) -> float:
+        """(1/sum d_ij) * sum (d_ij - d~_ij)^2 / d_ij over the kept pairs."""
+        D_tilde = np.asarray(D_tilde, dtype=np.float64)
+        if D_tilde.shape != self.shape:
+            raise FitnessError(f"shape mismatch: {self.shape} vs "
+                               f"{D_tilde.shape}")
+        if self.d.size == 0:
+            raise FitnessError("degenerate target: no positive distances")
+        dt = D_tilde[self.keep]
+        return float(np.sum((self.d - dt) ** 2 / self.d) / self.total)
+
+
+def sammon_stress(D: np.ndarray, D_tilde: np.ndarray) -> float:
+    """(1/sum d_ij) * sum (d_ij - d~_ij)^2 / d_ij over pairs i<j, skipping
+    near-zero d_ij; see ``SammonTarget``."""
+    return SammonTarget(D).stress(D_tilde)
 
 
 def _pair_indices(m: int):
@@ -407,12 +421,15 @@ class BatchContext:
         self.X = spec.inputs[rows]
         self.target = spec.target[rows]
         self.D = None
+        self.sammon = None
         self.rank = None
         self.teacher = None
         if spec.objective in ("dist", "rank"):
             self.D = spec.full_distance_matrix()
             if not whole:
                 self.D = self.D[np.ix_(rows, rows)]
+        if spec.objective == "dist":
+            self.sammon = SammonTarget(self.D)
         if spec.objective == "rank":
             m = self.D.shape[0]
             cache_size = m * (m - 1) * (m - 2) // 2
@@ -445,7 +462,7 @@ def score_output(spec: FitnessSpec, ctx: BatchContext, out) -> float:
     aborting the run."""
     try:
         if spec.objective == "dist":
-            value = sammon_stress(ctx.D, pairwise_euclidean(out))
+            value = ctx.sammon.stress(pairwise_euclidean(out))
         elif spec.objective == "rank":
             value = -ctx.rank.mean_tau(pairwise_euclidean(out))
         elif spec.objective == "teacher":

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,15 +149,36 @@ def _oracle_fold_accuracies(model, X, labels, seed, n_folds, rf_trees):
     return accs
 
 
+def _oracle_fold_errors(model, X, labels, target, seed, n_folds, cfg):
+    """Each fold's reconstruction error from the per-network oracle
+    decoder, one fold after another, with evaluate's folds and seeds."""
+    from test_neural import _oracle_forward_all, oracle_decoder
+
+    latent = model.transform(X)
+    folds = _stratified_folds(labels, n_folds, np.random.default_rng(seed))
+    errs = []
+    for f, test_idx in enumerate(folds):
+        train = np.setdiff1d(np.arange(len(labels)), test_idx)
+        dec = oracle_decoder(latent[train], target[train],
+                             replace(cfg, seed=seed + 104729 * f))
+        recon = _oracle_forward_all(dec.weights, dec.biases, dec.activations,
+                                    latent[test_idx])[-1]
+        errs.append(float(np.mean((recon - target[test_idx]) ** 2)))
+    return errs
+
+
 def test_evaluate_fold_accuracies_match_per_fold_oracle():
     X, labels, target = _toy_problem(seed=8)
     X[:, 0] += np.random.default_rng(8).normal(size=len(labels))  # overlap
     model = DrModel(kind="pca", k=2, model=pca_fit(X, 2))
+    cfg = TrainConfig(epochs=4, seed=0)
     res = evaluate(model, X, labels, target, seed=3, rf_trees=12,
-                   decoder_cfg=TrainConfig(epochs=2, seed=0))
+                   decoder_cfg=cfg)
     assert len(res.fold_accuracies) == 10
     assert res.fold_accuracies == _oracle_fold_accuracies(
         model, X, labels, seed=3, n_folds=10, rf_trees=12)
+    assert res.fold_errors == _oracle_fold_errors(
+        model, X, labels, target, seed=3, n_folds=10, cfg=cfg)
 
 
 def test_evaluate_reduced_folds_match_per_fold_oracle():
@@ -164,9 +187,12 @@ def test_evaluate_reduced_folds_match_per_fold_oracle():
     labels[:] = 0
     labels[:4] = 1
     model = DrModel(kind="pca", k=2, model=pca_fit(X, 2))
+    cfg = TrainConfig(epochs=4, seed=0)
     with pytest.warns(UserWarning, match="reducing folds"):
         res = evaluate(model, X, labels, target, seed=0, rf_trees=12,
-                       decoder_cfg=TrainConfig(epochs=2, seed=0))
+                       decoder_cfg=cfg)
     assert len(res.fold_accuracies) == 4
     assert res.fold_accuracies == _oracle_fold_accuracies(
         model, X, labels, seed=0, n_folds=4, rf_trees=12)
+    assert res.fold_errors == _oracle_fold_errors(
+        model, X, labels, target, seed=0, n_folds=4, cfg=cfg)

@@ -61,6 +61,25 @@ def test_config_validation(toy_csv):
         ExperimentConfig(dataset_path=toy_csv, runs=0)
     with pytest.raises(ExperimentError, match="batch_size"):
         ExperimentConfig(dataset_path=toy_csv, batch_size=0)
+    bad = [("decoder_epochs", 0), ("decoder_epochs", 2.5),
+           ("decoder_epochs", -1), ("teacher_epochs", 0),
+           ("teacher_epochs", 1.5), ("generations", 0), ("generations", 2.0),
+           ("population", 0), ("population", 1), ("population", 10.5),
+           ("n_neighbors", 0), ("workers", 0), ("workers", True),
+           ("batch_size", 4.5), ("dr_fraction", 0.0), ("dr_fraction", 1.0),
+           ("dr_fraction", -0.5), ("dr_fraction", 1.5),
+           ("dr_fraction", float("nan")), ("dr_fraction", "half"),
+           ("runs", 1.5), ("k_list", [2.5]), ("k_list", [2, 0])]
+    for name, value in bad:
+        message = "k must" if name == "k_list" else name
+        with pytest.raises(ExperimentError, match=message):
+            ExperimentConfig(dataset_path=toy_csv, **{name: value})
+    # the least accepted values
+    ExperimentConfig(dataset_path=toy_csv, decoder_epochs=1,
+                     teacher_epochs=1, generations=1, population=2,
+                     n_neighbors=1, workers=1, dr_fraction=0.01)
+    ExperimentConfig(dataset_path=toy_csv, population=np.int64(5),
+                     dr_fraction=0.99)
     cfg = ExperimentConfig(dataset_path=toy_csv)
     cfg.apply_desk_scale()
     assert (cfg.population, cfg.generations, cfg.runs, cfg.batch_size) == \
@@ -100,6 +119,37 @@ def test_cli_run_rejects_nonpositive_batch_size(toy_csv, tmp_path):
     assert r.exit_code == 1
     assert isinstance(r.exception, SystemExit)
     assert "error:" in r.output and "batch_size" in r.output
+
+
+@pytest.mark.parametrize("key, value", [("decoder_epochs", "0"),
+                                        ("teacher_epochs", "0"),
+                                        ("population", "0"),
+                                        ("decoder_epochs", "2.5"),
+                                        ("n_neighbors", "0")])
+def test_cli_run_rejects_bad_budgets_before_any_record(toy_csv, tmp_path,
+                                                       key, value):
+    y = tmp_path / "cfg.yaml"
+    out = tmp_path / "results"
+    y.write_text(f"dataset_path: {toy_csv}\nlabel_column: label\nruns: 1\n"
+                 f"methods: [mt_teacher, mt_rank_geodesic]\nk_list: [2]\n"
+                 f"output_dir: {out}\n{key}: {value}\n")
+    r = CliRunner().invoke(main, ["run", "--config", str(y)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert "error:" in r.output and key in r.output
+    assert not out.exists() or not any(out.rglob("*.jsonl"))
+
+
+def test_cli_run_rejects_bad_population_flag(toy_csv, tmp_path):
+    out = tmp_path / "results"
+    r = CliRunner().invoke(main, [
+        "run", "--dataset", toy_csv, "--label-column", "label",
+        "--method", "mt_teacher", "--k", "2", "--runs", "1",
+        "--output-dir", str(out), "--population", "1",
+    ])
+    assert r.exit_code == 1
+    assert "error:" in r.output and "population" in r.output
+    assert not out.exists() or not any(out.rglob("*.jsonl"))
 
 
 def test_derive_seed_is_stable_and_distinct():

@@ -16,6 +16,7 @@ from gpdr.fitness import (
     linear_scaling,
     sammon_stress,
     score,
+    score_output,
     teacher_fitness,
     weighted_kendall_tau_row,
 )
@@ -118,6 +119,70 @@ def test_sammon_skips_duplicate_rows():
     assert np.isfinite(sammon_stress(D, D))
     with pytest.raises(FitnessError):
         sammon_stress(np.zeros((3, 3)), np.zeros((3, 3)))
+
+
+def _sammon_stress_oracle(D, D_tilde):
+    """``sammon_stress`` as it stood before its target side was built once
+    per context, kept as the byte-level reference."""
+    D = np.asarray(D, dtype=np.float64)
+    D_tilde = np.asarray(D_tilde, dtype=np.float64)
+    if D.shape != D_tilde.shape:
+        raise FitnessError(f"shape mismatch: {D.shape} vs {D_tilde.shape}")
+    iu = np.triu_indices(D.shape[0], 1)
+    d = D[iu]
+    dt = D_tilde[iu]
+    keep = d > 1e-12
+    d = d[keep]
+    dt = dt[keep]
+    if d.size == 0:
+        raise FitnessError("degenerate target: no positive distances")
+    return float(np.sum((d - dt) ** 2 / d) / np.sum(d))
+
+
+def _duplicated_rows(seed, n=40, p=4):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    X[5] = X[3]  # duplicate rows: zero target distances
+    X[17] = X[3]
+    X[30] = X[8]
+    return X
+
+
+@pytest.mark.parametrize("batch", [np.array([3, 5, 8, 17, 30, 1, 2, 29]),
+                                   np.arange(0, 40, 3), None])
+def test_sammon_through_context_matches_oracle_bytes(batch):
+    X = _duplicated_rows(17)
+    spec = FitnessSpec(objective="dist", inputs=X, target=X @ np.eye(4)[:, :3],
+                       metric="euclidean")
+    ctx = BatchContext(spec, batch)
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        out = rng.normal(size=(ctx.X.shape[0], 2))
+        got = score_output(spec, ctx, out)
+        want = _sammon_stress_oracle(ctx.D, pairwise_euclidean(out))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert sammon_stress(ctx.D, pairwise_euclidean(out)) == want
+    # a constant latent scores too
+    out = np.zeros((ctx.X.shape[0], 2))
+    assert score_output(spec, ctx, out) == _sammon_stress_oracle(
+        ctx.D, pairwise_euclidean(out))
+
+
+def test_sammon_keeps_its_errors():
+    X = np.zeros((4, 2))
+    spec = FitnessSpec(objective="dist", inputs=X, target=X,
+                       metric="euclidean")
+    ctx = BatchContext(spec, np.arange(4))
+    with pytest.raises(FitnessError, match="degenerate target"):
+        score_output(spec, ctx, np.ones((4, 1)))
+    with pytest.raises(FitnessError, match="degenerate target"):
+        sammon_stress(np.zeros((4, 4)), np.zeros((4, 4)))
+    D = pairwise_euclidean(_duplicated_rows(19)[:6])
+    with pytest.raises(FitnessError, match="shape mismatch"):
+        sammon_stress(D, D[:5, :5])
+    # a mismatch is reported before a degenerate target, as it always was
+    with pytest.raises(FitnessError, match="shape mismatch"):
+        sammon_stress(np.zeros((4, 4)), np.zeros((3, 3)))
 
 
 def _mean_row_tau(D, Dt, tau_row):
