@@ -27,17 +27,11 @@ def main():
 
 def _build_config(config, overrides) -> ExperimentConfig:
     if config:
-        cfg = ExperimentConfig.from_yaml(config)
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
-        cfg.__post_init__()
-        return cfg
-    missing = overrides.get("dataset_path") is None
-    if missing:
+        return ExperimentConfig.from_yaml(config, **overrides)
+    if overrides.get("dataset_path") is None:
         raise click.UsageError("either --config or --dataset is required")
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    return ExperimentConfig(**clean)
+    return ExperimentConfig(
+        **{k: v for k, v in overrides.items() if v is not None})
 
 
 @main.command()

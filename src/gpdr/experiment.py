@@ -16,7 +16,7 @@ from .baselines import DrModel, isomap_fit, pca_fit
 from .dataset import Dataset, load_csv, pca_target, split, standardize
 from .evaluation import evaluate, mann_whitney_u, significance_stars
 from .evolution import GpRunConfig, RunResult, evolve
-from .fitness import HYPERBOLIC, FitnessSpec
+from .fitness import FitnessSpec
 from .neural import TrainConfig, latent as mlp_latent, train_autoencoder
 
 RECORD_FORMAT = "gpdr-run-record"
@@ -80,7 +80,8 @@ class ExperimentConfig:
         if not all(_is_count(k, 1) for k in self.k_list):
             raise ExperimentError(
                 f"k must be integers >= 1, got {list(self.k_list)!r}")
-        for name, least in (("runs", 1), ("batch_size", 1),
+        for name, least in (("runs", 1), ("master_seed", 0),
+                            ("batch_size", 1),
                             ("decoder_epochs", 1), ("teacher_epochs", 1),
                             ("generations", 1), ("population", 2),
                             ("n_neighbors", 1), ("workers", 1)):
@@ -92,6 +93,12 @@ class ExperimentConfig:
                 or not 0 < self.dr_fraction < 1):
             raise ExperimentError(
                 f"dr_fraction must lie in (0, 1), got {self.dr_fraction!r}")
+        if (not isinstance(self.variance_fraction, (int, float))
+                or isinstance(self.variance_fraction, bool)
+                or not 0 < self.variance_fraction <= 1):
+            raise ExperimentError(
+                "variance_fraction must lie in (0, 1], got "
+                f"{self.variance_fraction!r}")
 
     def apply_desk_scale(self):
         """Reduced-budget preset for acceptance-style runs."""
@@ -101,16 +108,23 @@ class ExperimentConfig:
         self.batch_size = 100
 
     @classmethod
-    def from_yaml(cls, path) -> "ExperimentConfig":
+    def from_yaml(cls, path, **overrides) -> "ExperimentConfig":
+        """The config of a YAML file, with each ``overrides`` value that is
+        not None in place of the file's key."""
         import yaml
 
         with open(path) as f:
             raw = yaml.safe_load(f) or {}
+        if not isinstance(raw, dict):
+            raise ExperimentError(f"{path}: not a mapping of config keys")
         unknown = sorted(set(raw) - {fld.name for fld in fields(cls)})
         if unknown:
             raise ExperimentError(
                 f"{path}: unknown config keys: {', '.join(unknown)}"
             )
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
+        if raw.get("dataset_path") is None:
+            raise ExperimentError(f"{path}: no dataset_path given")
         return cls(**raw)
 
 
@@ -172,7 +186,6 @@ def run_single(
             target=target.transformed,
             metric=metric,
             teacher_latent=teacher_latent,
-            weight_scheme=HYPERBOLIC,
             n_neighbors=cfg.n_neighbors,
         )
         gp_cfg = GpRunConfig(

@@ -1,7 +1,8 @@
 """The four fitness objectives: distance preservation (Sammon stress),
-weighted rank preservation (Kendall's tau), neural-teacher distillation,
-and GP-autoencoder reconstruction (after linear scaling of the decoder
-outputs).
+rank preservation (hyperbolically weighted Kendall's tau, the only rank
+weighting; Vigna, "A weighted correlation index for rankings with ties",
+WWW 2015), neural-teacher distillation, and GP-autoencoder
+reconstruction (after linear scaling of the decoder outputs).
 
 All objectives are minimized. The comparison target is always the
 PCA-space data; the genome's input is always the raw standardized data.
@@ -26,23 +27,6 @@ RANK_CACHE_MAX_ELEMENTS = 50_000_000
 
 class FitnessError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class WeightScheme:
-    """Rank-based pair weighting; rank 0 is the shortest distance."""
-
-    kind: str = "hyperbolic"
-
-    def weight(self, ranks: np.ndarray) -> np.ndarray:
-        if self.kind == "hyperbolic":
-            return 1.0 / (ranks + 1.0)
-        if self.kind == "uniform":
-            return np.ones_like(ranks, dtype=np.float64)
-        raise FitnessError(f"unknown weight scheme {self.kind!r}")
-
-
-HYPERBOLIC = WeightScheme("hyperbolic")
 
 
 class SammonTarget:
@@ -99,26 +83,25 @@ def kendall_tau_row(d_row, dt_row) -> float:
     return float(s.sum() / j.size)
 
 
-def _row_ranks(d: np.ndarray) -> np.ndarray:
-    """Ascending ranks, 0 = shortest; ties broken by position (stable)."""
-    order = np.argsort(d, kind="stable")
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(d.size)
-    return ranks
+def _rank_weights(R: np.ndarray) -> np.ndarray:
+    """Hyperbolic weight 1 / (r + 1) of each entry of each row of R, where
+    r is its ascending rank in the row: 0 is the shortest distance, and
+    ties are ranked by position."""
+    ranks = np.argsort(np.argsort(R, axis=1, kind="stable"), axis=1)
+    return 1.0 / (ranks + 1.0)
 
 
-def weighted_kendall_tau_row(
-    d_row, dt_row, scheme: WeightScheme = HYPERBOLIC
-) -> float:
-    """Weighted tau: pair (j,l) carries weight w(r_j) + w(r_l), with ranks
-    taken from the original-distance row. Result is the weighted concordant
-    minus discordant mass over the total pair weight, in [-1, 1].
+def weighted_kendall_tau_row(d_row, dt_row) -> float:
+    """Weighted tau: pair (j,l) carries weight w_j + w_l, the hyperbolic
+    weights of their ranks in the original-distance row. Result is the
+    weighted concordant minus discordant mass over the total pair weight,
+    in [-1, 1].
     """
     d = np.asarray(d_row, dtype=np.float64)
     dt = np.asarray(dt_row, dtype=np.float64)
     if d.shape != dt.shape or d.ndim != 1 or d.size < 2:
         raise FitnessError("rows must be equal-length vectors of size >= 2")
-    w = scheme.weight(_row_ranks(d).astype(np.float64))
+    w = _rank_weights(d[None])[0]
     j, l = _pair_indices(d.size)
     pair_w = w[j] + w[l]
     s = np.sign(d[j] - d[l]) * np.sign(dt[j] - dt[l])
@@ -137,27 +120,19 @@ class RankTargetCache:
     genome only needs the latent-side pair signs.
     """
 
-    def __init__(self, D: np.ndarray, scheme: Optional[WeightScheme]):
+    def __init__(self, D: np.ndarray):
         R = _strip_diagonal(np.asarray(D, dtype=np.float64))
         m = R.shape[1]
         self.j, self.l = _pair_indices(m)
         self.sign_d = np.sign(R[:, self.j] - R[:, self.l])
-        if scheme is None:
-            self.pair_w = None
-            self.total_w = float(self.j.size)
-        else:
-            ranks = np.argsort(np.argsort(R, axis=1, kind="stable"), axis=1)
-            w = scheme.weight(ranks.astype(np.float64))
-            self.pair_w = w[:, self.j] + w[:, self.l]
-            self.total_w = self.pair_w.sum(axis=1)
+        w = _rank_weights(R)
+        self.pair_w = w[:, self.j] + w[:, self.l]
+        self.total_w = self.pair_w.sum(axis=1)
 
     def mean_tau(self, D_tilde: np.ndarray) -> float:
         Rt = _strip_diagonal(np.asarray(D_tilde, dtype=np.float64))
         s = np.sign(Rt[:, self.j] - Rt[:, self.l])
-        if self.pair_w is None:
-            taus = (self.sign_d * s).sum(axis=1) / self.total_w
-        else:
-            taus = (self.pair_w * self.sign_d * s).sum(axis=1) / self.total_w
+        taus = (self.pair_w * self.sign_d * s).sum(axis=1) / self.total_w
         return float(taus.mean())
 
 
@@ -206,16 +181,11 @@ class RankSweep:
     subtracted in group order.
     """
 
-    def __init__(self, D: np.ndarray, scheme: Optional[WeightScheme]):
+    def __init__(self, D: np.ndarray):
         R = _strip_diagonal(np.asarray(D, dtype=np.float64))
         n, m = R.shape
         self.n, self.m = n, m
-        if scheme is None:
-            # plain tau: every pair weighs 1, i.e. half-weights of 0.5
-            w = np.full((n, m), 0.5)
-        else:
-            ranks = np.argsort(np.argsort(R, axis=1, kind="stable"), axis=1)
-            w = scheme.weight(ranks.astype(np.float64))
+        w = _rank_weights(R)
         self.total_w = (m - 1) * w.sum(axis=1)
         # processing order: ascending target distance, stable
         self.order = np.argsort(R, axis=1, kind="stable")
@@ -385,7 +355,6 @@ class FitnessSpec:
     target: np.ndarray                      # (n, p') PCA-space data
     metric: Optional[str] = None            # dist/rank only
     teacher_latent: Optional[np.ndarray] = None
-    weight_scheme: Optional[WeightScheme] = HYPERBOLIC
     n_neighbors: int = 10
     _D_full: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -437,9 +406,9 @@ class BatchContext:
             # only batches within the memory cap; the whole split and
             # larger batches use the Fenwick sweep
             if not whole and cache_size <= RANK_CACHE_MAX_ELEMENTS:
-                self.rank = RankTargetCache(self.D, spec.weight_scheme)
+                self.rank = RankTargetCache(self.D)
             else:
-                self.rank = RankSweep(self.D, spec.weight_scheme)
+                self.rank = RankSweep(self.D)
         if spec.objective == "teacher":
             self.teacher = spec.teacher_latent[rows]
 

@@ -2,21 +2,21 @@
 impurity, bootstrap sampling, sqrt-p feature subsets, grown to purity)
 and balanced accuracy.
 
-A forest is one set of flat node arrays. Each forest has its own
-generator, and grows its trees one after another from an explicit stack
-in preorder (node, left subtree, right subtree), the order in which its
-splits draw their candidate features: another order grows other trees,
-and so writes other records. Independent forests (one per fold of a
-cross-validation) grow in lockstep: each round pops the next node to
-split from every forest's own stack and scores all those nodes in one
-vectorized pass, so each forest grows exactly the trees it grows alone.
+Each forest has its own generator, and grows its trees one after
+another from an explicit stack in preorder (node, left subtree, right
+subtree), the order in which its splits draw their candidate features:
+another order grows other trees, and so writes other records.
+Independent forests (one per fold of a cross-validation) grow in
+lockstep: each round pops the next node to split from every forest's
+own stack and scores all those nodes in one vectorized pass, so each
+forest grows exactly the trees it grows alone. A forest is never held
+whole: its finished trees vote on its held-out rows and are dropped.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +48,11 @@ class _Grower:
     preorder stack of its tree in progress. Node rows are row ids of the
     X shared by every forest of a lockstep call.
 
-    Nodes go to flat lists, one tree after another. Without ``probe`` the
-    lists keep every tree; with it, every VOTE_EVERY finished trees vote
-    on the probe rows, in tree order, and are dropped, so the forest is
-    never held whole.
+    Nodes go to flat lists, one tree after another; every VOTE_EVERY
+    finished trees vote on the probe rows, in tree order, and are dropped.
     """
 
-    def __init__(self, y, train, trees, seed, p, probe=None):
+    def __init__(self, y, train, trees, seed, p, probe):
         if train.size < 2:
             raise ValueError("need at least 2 training rows")
         self.y, self.train, self.p, self.probe = y, train, p, probe
@@ -66,8 +64,7 @@ class _Grower:
         self.limit = sys.getrecursionlimit()
         self.stack, self.grown = [], 0
         self._clear()
-        if probe is not None:
-            self.votes = np.zeros((probe.shape[0], self.n_classes))
+        self.votes = np.zeros((probe.shape[0], self.n_classes))
 
     def _clear(self):
         self.feature, self.threshold, self.left, self.right = [], [], [], []
@@ -142,25 +139,21 @@ class _Grower:
             self.rng.bit_generator.state = self.saved
             self.rng.integers(self.p, size=self.used)
         self.grown += 1
-        if self.probe is not None and len(self.roots) == VOTE_EVERY:
+        if len(self.roots) == VOTE_EVERY:
             self._vote()
 
-    def arrays(self):
-        """(feature, threshold, left, right, class distribution, roots) of
-        the trees in the lists."""
-        counts = np.concatenate(self.counts).reshape(len(self.counts), -1)
-        # an empty leaf (see the adjacent-doubles note in _split_nodes)
-        # votes NaN
-        value = counts / counts.sum(axis=1, keepdims=True)
-        return (np.array(self.feature), np.array(self.threshold),
-                np.array(self.left), np.array(self.right), value,
-                np.array(self.roots))
-
     def _vote(self):
+        """Add the class distributions the probe rows reach in each tree of
+        the lists, in tree order, and empty the lists."""
         if self.roots:
-            feature, threshold, left, right, value, roots = self.arrays()
-            node = _leaves(feature, threshold, left, right, roots, self.probe)
-            for leaves in node:  # in tree order, as predict_proba adds
+            counts = np.concatenate(self.counts).reshape(len(self.counts), -1)
+            # an empty leaf (see the adjacent-doubles note in _split_nodes)
+            # votes NaN
+            value = counts / counts.sum(axis=1, keepdims=True)
+            node = _leaves(np.array(self.feature), np.array(self.threshold),
+                           np.array(self.left), np.array(self.right),
+                           np.array(self.roots), self.probe)
+            for leaves in node:  # tree by tree, so the sums keep their bits
                 self.votes += value[leaves]
             self._clear()
 
@@ -300,56 +293,18 @@ def _grow_lockstep(X, y, growers):
         active = still
 
 
-def _inputs(X, y):
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return X, np.asarray(y, dtype=np.intp)
-
-
-@dataclass
-class RandomForest:
-    """All trees' nodes in flat arrays; ``roots[t]`` is tree t's root."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray  # (nodes, c) class distribution, read at the leaves
-    roots: np.ndarray
-    n_classes: int
-    seed: int
-
-    def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        node = _leaves(self.feature, self.threshold, self.left, self.right,
-                       self.roots, rows)
-        votes = np.zeros((rows.shape[0], self.n_classes))
-        for leaves in node:  # in tree order, so the sums keep their bits
-            votes += self.value[leaves]
-        return votes / len(self.roots)
-
-    def predict(self, rows: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(rows), axis=1)
-
-
-def rf_fit(X, y, trees: int = 100, seed: int = 0) -> RandomForest:
-    """Bootstrap-sampled trees with sqrt(p) feature candidates per split."""
-    X, y = _inputs(X, y)
-    grower = _Grower(y, np.arange(y.size), trees, seed, X.shape[1])
-    _grow_lockstep(X, y, [grower])
-    return RandomForest(*grower.arrays(), grower.n_classes, seed)
-
-
 def rf_fold_proba(X, y, folds, seeds, trees: int = 100) -> list[np.ndarray]:
     """Held-out class probabilities of one forest per fold.
 
     ``folds`` holds (training rows, held-out rows) index pairs into X and
-    y; fold f's forest is seeded with ``seeds[f]``. Result f equals
-    ``rf_fit(X[train], y[train], trees, seeds[f]).predict_proba(X[held])``
-    bit for bit. The forests grow in lockstep, and none is kept whole:
-    every VOTE_EVERY finished trees add their held-out votes in tree
-    order and are dropped.
+    y; fold f's forest grows from its training rows alone, seeded with
+    ``seeds[f]``, and result f is the mean over its trees of the class
+    distribution at the leaf each held-out row reaches. The forests grow
+    in lockstep, and none is kept whole: every VOTE_EVERY finished trees
+    add their held-out votes in tree order and are dropped.
     """
-    X, y = _inputs(X, y)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.intp)
     if len(folds) != len(seeds):
         raise ValueError(f"{len(folds)} folds but {len(seeds)} seeds")
     growers = [

@@ -298,7 +298,8 @@ def train_autoencoder(X: np.ndarray, k: int, cfg: TrainConfig) -> Mlp:
 def train_decoders(latents, targets, cfgs) -> list[Mlp]:
     """Decoders k -> h -> p', one per (latent, target, cfg), each minimizing
     MSE against its target features. They train as one stack; decoder f
-    equals ``train_decoder(latents[f], targets[f], cfgs[f])`` bit for bit.
+    is bit for bit the decoder trained alone, ``train_decoders([latents[f]],
+    [targets[f]], [cfgs[f]])[0]``.
     """
     Ls = [np.asarray(L, dtype=np.float64) for L in latents]
     Ys = [np.asarray(Y, dtype=np.float64) for Y in targets]
@@ -316,9 +317,3 @@ def train_decoders(latents, targets, cfgs) -> list[Mlp]:
         bottleneck_index=None,
         Xs=Ls, Ys=Ys, cfgs=list(cfgs),
     )
-
-
-def train_decoder(latent_data: np.ndarray, X_target: np.ndarray,
-                  cfg: TrainConfig) -> Mlp:
-    """Decoder k -> h -> p' minimizing MSE against the target features."""
-    return train_decoders([latent_data], [X_target], [cfg])[0]

@@ -69,7 +69,12 @@ def test_config_validation(toy_csv):
            ("batch_size", 4.5), ("dr_fraction", 0.0), ("dr_fraction", 1.0),
            ("dr_fraction", -0.5), ("dr_fraction", 1.5),
            ("dr_fraction", float("nan")), ("dr_fraction", "half"),
-           ("runs", 1.5), ("k_list", [2.5]), ("k_list", [2, 0])]
+           ("runs", 1.5), ("k_list", [2.5]), ("k_list", [2, 0]),
+           ("master_seed", -1), ("master_seed", 1.5), ("master_seed", "1"),
+           ("master_seed", True), ("variance_fraction", 0.0),
+           ("variance_fraction", -0.5), ("variance_fraction", 1.01),
+           ("variance_fraction", 99), ("variance_fraction", float("nan")),
+           ("variance_fraction", True), ("variance_fraction", "all")]
     for name, value in bad:
         message = "k must" if name == "k_list" else name
         with pytest.raises(ExperimentError, match=message):
@@ -77,9 +82,11 @@ def test_config_validation(toy_csv):
     # the least accepted values
     ExperimentConfig(dataset_path=toy_csv, decoder_epochs=1,
                      teacher_epochs=1, generations=1, population=2,
-                     n_neighbors=1, workers=1, dr_fraction=0.01)
+                     n_neighbors=1, workers=1, dr_fraction=0.01,
+                     master_seed=0, variance_fraction=1e-9)
     ExperimentConfig(dataset_path=toy_csv, population=np.int64(5),
-                     dr_fraction=0.99)
+                     dr_fraction=0.99, master_seed=np.int64(2**40),
+                     variance_fraction=1)
     cfg = ExperimentConfig(dataset_path=toy_csv)
     cfg.apply_desk_scale()
     assert (cfg.population, cfg.generations, cfg.runs, cfg.batch_size) == \
@@ -108,6 +115,12 @@ def test_config_from_yaml_rejects_unknown_keys(toy_csv, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.output and "populaton" in result.output
+    for text in ("42\n", "hello\n", "[runs, 2]\n"):
+        y.write_text(text)
+        result = CliRunner().invoke(main, ["run", "--config", str(y)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "not a mapping" in result.output
 
 
 def test_cli_run_rejects_nonpositive_batch_size(toy_csv, tmp_path):
@@ -125,7 +138,9 @@ def test_cli_run_rejects_nonpositive_batch_size(toy_csv, tmp_path):
                                         ("teacher_epochs", "0"),
                                         ("population", "0"),
                                         ("decoder_epochs", "2.5"),
-                                        ("n_neighbors", "0")])
+                                        ("n_neighbors", "0"),
+                                        ("master_seed", "-1"),
+                                        ("variance_fraction", "99")])
 def test_cli_run_rejects_bad_budgets_before_any_record(toy_csv, tmp_path,
                                                        key, value):
     y = tmp_path / "cfg.yaml"
@@ -282,6 +297,28 @@ def test_cli_run_and_summarize(toy_csv, tmp_path):
 def test_cli_run_requires_dataset_or_config():
     r = CliRunner().invoke(main, ["run"])
     assert r.exit_code != 0
+
+
+@pytest.mark.parametrize("text", ["", "runs: 1\n"],
+                         ids=["empty", "no_dataset"])
+def test_cli_config_without_dataset_path(toy_csv, tmp_path, text):
+    y = tmp_path / "cfg.yaml"
+    out = tmp_path / "res"
+    y.write_text(text)
+    r = CliRunner().invoke(main, ["run", "--config", str(y),
+                                  "--output-dir", str(out)])
+    # a clean exit 1 with a message, not an uncaught TypeError
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert "error:" in r.output and "dataset_path" in r.output
+    assert not out.exists()
+    # --dataset supplies the missing key, as any flag overrides the file
+    r = CliRunner().invoke(main, [
+        "run", "--config", str(y), "--dataset", toy_csv,
+        "--label-column", "label", "--method", "pca", "--k", "2",
+        "--runs", "1", "--output-dir", str(out)])
+    assert r.exit_code == 0, r.output
+    assert "1 records" in r.output
 
 
 def test_cli_config_file_with_overrides(toy_csv, tmp_path):

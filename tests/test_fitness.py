@@ -3,14 +3,12 @@ import pytest
 
 from gpdr.distances import pairwise_euclidean
 from gpdr.fitness import (
-    HYPERBOLIC,
     WORST_FITNESS,
     BatchContext,
     FitnessError,
     FitnessSpec,
     RankSweep,
     RankTargetCache,
-    WeightScheme,
     gp_autoencoder_fitness,
     kendall_tau_row,
     linear_scaling,
@@ -80,14 +78,6 @@ def test_tau_matches_exhaustive_oracle():
                           atol=1e-12)
         assert np.isclose(weighted_kendall_tau_row(d, dt),
                           _weighted_tau_oracle(d, dt), atol=1e-12)
-
-
-def test_weight_schemes():
-    r = np.array([0.0, 1.0, 3.0])
-    assert np.allclose(HYPERBOLIC.weight(r), [1.0, 0.5, 0.25])
-    assert np.allclose(WeightScheme("uniform").weight(r), 1.0)
-    with pytest.raises(FitnessError):
-        WeightScheme("nope").weight(r)
 
 
 def test_sammon_closed_forms():
@@ -200,12 +190,8 @@ def test_rank_fitness_equals_mean_row_tau():
     L = rng.normal(size=(12, 2))
     D, Dt = pairwise_euclidean(X), pairwise_euclidean(L)
     expected = _mean_row_tau(D, Dt, weighted_kendall_tau_row)
-    expected_u = _mean_row_tau(D, Dt, kendall_tau_row)
     for kernel in (RankTargetCache, RankSweep):
-        assert np.isclose(kernel(D, HYPERBOLIC).mean_tau(Dt), expected,
-                          atol=1e-12)
-        assert np.isclose(kernel(D, None).mean_tau(Dt), expected_u,
-                          atol=1e-12)
+        assert np.isclose(kernel(D).mean_tau(Dt), expected, atol=1e-12)
 
 
 def test_rank_fitness_many_matches_single_path():
@@ -214,13 +200,11 @@ def test_rank_fitness_many_matches_single_path():
         n = int(rng.integers(4, 20))
         D = pairwise_euclidean(rng.normal(size=(n, 3)))
         lats = [rng.normal(size=(n, 2)) for _ in range(3)]
-        for scheme in (HYPERBOLIC, WeightScheme("uniform"), None):
-            cache = RankTargetCache(D, scheme)
-            sweep = RankSweep(D, scheme)
-            for L in lats:
-                Dt = pairwise_euclidean(L)
-                assert np.isclose(sweep.mean_tau(Dt), cache.mean_tau(Dt),
-                                  atol=1e-12)
+        cache, sweep = RankTargetCache(D), RankSweep(D)
+        for L in lats:
+            Dt = pairwise_euclidean(L)
+            assert np.isclose(sweep.mean_tau(Dt), cache.mean_tau(Dt),
+                              atol=1e-12)
 
 
 def test_rank_fitness_many_handles_ties_on_both_sides():
@@ -232,20 +216,18 @@ def test_rank_fitness_many_handles_ties_on_both_sides():
         D = pairwise_euclidean(X)
         lats = [rng.integers(0, 3, size=(n, 2)).astype(float)
                 for _ in range(3)]
-        for scheme in (HYPERBOLIC, None):
-            cache = RankTargetCache(D, scheme)
-            sweep = RankSweep(D, scheme)
-            for L in lats:
-                Dt = pairwise_euclidean(L)
-                assert np.isclose(sweep.mean_tau(Dt), cache.mean_tau(Dt),
-                                  atol=1e-12)
+        cache, sweep = RankTargetCache(D), RankSweep(D)
+        for L in lats:
+            Dt = pairwise_euclidean(L)
+            assert np.isclose(sweep.mean_tau(Dt), cache.mean_tau(Dt),
+                              atol=1e-12)
 
 
 def test_rank_cache_matches_direct_computation():
     rng = np.random.default_rng(5)
     D = pairwise_euclidean(rng.normal(size=(9, 3)))
     Dt = pairwise_euclidean(rng.normal(size=(9, 2)))
-    cache = RankTargetCache(D, HYPERBOLIC)
+    cache = RankTargetCache(D)
     assert np.isclose(cache.mean_tau(Dt),
                       _mean_row_tau(D, Dt, weighted_kendall_tau_row),
                       atol=1e-12)
@@ -421,15 +403,12 @@ class _OracleSweep:
     kept verbatim as the byte-level reference for ``RankSweep``: the
     per-element operation order of this code is what the records hold."""
 
-    def __init__(self, D, scheme):
+    def __init__(self, D):
         R = _oracle_strip_diagonal(np.asarray(D, dtype=np.float64))
         n, m = R.shape
         self.n, self.m = n, m
-        if scheme is None:
-            w = np.full((n, m), 0.5)
-        else:
-            ranks = np.argsort(np.argsort(R, axis=1, kind="stable"), axis=1)
-            w = scheme.weight(ranks.astype(np.float64))
+        ranks = np.argsort(np.argsort(R, axis=1, kind="stable"), axis=1)
+        w = 1.0 / (ranks.astype(np.float64) + 1.0)
         self.total_w = (m - 1) * w.sum(axis=1)
         self.order = np.argsort(R, axis=1, kind="stable")
         self.w_sorted = np.take_along_axis(w, self.order, axis=1)
@@ -529,10 +508,10 @@ def _rank_inputs(rng, data, n):
     return X, [np.tanh(X[:, :2] * rng.normal(size=2)) for _ in range(3)]
 
 
-@pytest.mark.parametrize("data", ["continuous", "grid", "duplicates"])
-@pytest.mark.parametrize("scheme", [HYPERBOLIC, WeightScheme("uniform"), None],
-                         ids=["hyperbolic", "uniform", "plain"])
-def test_rank_sweep_matches_oracle_bytes(scheme, data):
+# the ids name the weighting, hyperbolic, the only one the sweep has
+@pytest.mark.parametrize("data", ["continuous", "grid", "duplicates"],
+                         ids=lambda data: f"hyperbolic-{data}")
+def test_rank_sweep_matches_oracle_bytes(data):
     rng = np.random.default_rng(11)
     large_groups = 0
     # m + 1 = n rows per lane, on both sides of the power-of-two edges;
@@ -541,7 +520,7 @@ def test_rank_sweep_matches_oracle_bytes(scheme, data):
     for n in (7, 8, 9, 15, 16, 17, 32, 33, 200):
         X, latents = _rank_inputs(rng, data, n)
         D = pairwise_euclidean(X)
-        sweep, oracle = RankSweep(D, scheme), _OracleSweep(D, scheme)
+        sweep, oracle = RankSweep(D), _OracleSweep(D)
         groups = zip(sweep.tie_rows, sweep.tie_starts, sweep.tie_ends)
         assert list(groups) == oracle.tie_groups
         large_groups += sum(b - a > 2 for _, a, b in oracle.tie_groups)

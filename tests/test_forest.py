@@ -1,14 +1,29 @@
 import numpy as np
 import pytest
 
-from gpdr.forest import RandomForest, balanced_accuracy, rf_fit, rf_fold_proba
+from gpdr.forest import balanced_accuracy, rf_fold_proba
+
+
+def _forest_proba(X, y, probe, trees, seed):
+    """Class probabilities at the probe rows of one forest grown on X, y:
+    the one-fold call of the lockstep grower."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    probe = np.atleast_2d(np.asarray(probe, dtype=np.float64))
+    n, m = len(X), len(probe)
+    return rf_fold_proba(np.vstack([X, probe]),
+                         np.concatenate([y, np.zeros(m, dtype=int)]),
+                         [(np.arange(n), np.arange(n, n + m))], [seed],
+                         trees)[0]
+
+
+def _forest_predict(X, y, probe, trees, seed):
+    return np.argmax(_forest_proba(X, y, probe, trees, seed), axis=1)
 
 
 def test_forest_memorizes_small_dataset():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 2, 3])
-    rf = rf_fit(X, y, trees=25, seed=0)
-    assert np.array_equal(rf.predict(X), y)
+    assert np.array_equal(_forest_predict(X, y, X, trees=25, seed=0), y)
 
 
 def test_forest_learns_separable_classes():
@@ -17,9 +32,8 @@ def test_forest_learns_separable_classes():
     X1 = rng.normal(size=(40, 2)) + 3.0
     X = np.vstack([X0, X1])
     y = np.repeat([0, 1], 40)
-    rf = rf_fit(X, y, trees=30, seed=1)
     grid = rng.normal(size=(30, 2)) - 3.0
-    assert np.mean(rf.predict(grid) == 0) > 0.9
+    assert np.mean(_forest_predict(X, y, grid, trees=30, seed=1) == 0) > 0.9
 
 
 def test_forest_is_seeded():
@@ -27,8 +41,8 @@ def test_forest_is_seeded():
     X = rng.normal(size=(50, 3))
     y = (X[:, 0] > 0).astype(int)
     probe = rng.normal(size=(20, 3))
-    a = rf_fit(X, y, trees=10, seed=7).predict_proba(probe)
-    b = rf_fit(X, y, trees=10, seed=7).predict_proba(probe)
+    a = _forest_proba(X, y, probe, trees=10, seed=7)
+    b = _forest_proba(X, y, probe, trees=10, seed=7)
     assert np.array_equal(a, b)
 
 
@@ -36,8 +50,7 @@ def test_predict_proba_is_distribution():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 2))
     y = rng.integers(3, size=30)
-    rf = rf_fit(X, y, trees=10, seed=0)
-    proba = rf.predict_proba(rng.normal(size=(10, 2)))
+    proba = _forest_proba(X, y, rng.normal(size=(10, 2)), trees=10, seed=0)
     assert proba.shape == (10, 3)
     assert np.allclose(proba.sum(axis=1), 1.0)
     assert np.all(proba >= 0)
@@ -45,14 +58,13 @@ def test_predict_proba_is_distribution():
 
 def test_single_class_degenerates_to_constant():
     X = np.arange(10, dtype=float).reshape(5, 2)
-    rf = rf_fit(X, np.full(5, 2), trees=5, seed=0)
-    assert isinstance(rf, RandomForest)
-    assert np.all(rf.predict(X) == 2)
+    assert np.all(_forest_predict(X, np.full(5, 2), X, trees=5, seed=0) == 2)
 
 
 def test_rf_fit_input_checks():
     with pytest.raises(ValueError):
-        rf_fit(np.zeros((1, 2)), np.zeros(1, dtype=int))
+        _forest_proba(np.zeros((1, 2)), np.zeros(1, dtype=int),
+                      np.zeros((1, 2)), trees=100, seed=0)
 
 
 def test_balanced_accuracy_oracle():
@@ -158,7 +170,7 @@ def _oracle_proba(X, y, probe, trees, seed):
 def _assert_same_votes(X, y, probe, trees, seed):
     with np.errstate(invalid="ignore"):
         want = _oracle_proba(X, y, probe, trees, seed)
-        got = rf_fit(X, y, trees=trees, seed=seed).predict_proba(probe)
+        got = _forest_proba(X, y, probe, trees, seed)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -200,7 +212,7 @@ def test_flat_forest_keeps_the_empty_leaf_of_adjacent_doubles():
     y = (np.arange(40) % 2) ^ (x1 > 1.0)
     probe = np.column_stack([np.linspace(-1.06, -1.04, 9), np.zeros(9)])
     with np.errstate(invalid="ignore"):
-        proba = rf_fit(X, y, trees=10, seed=0).predict_proba(probe)
+        proba = _forest_proba(X, y, probe, trees=10, seed=0)
     assert np.isnan(proba[-1]).all()
     _assert_same_votes(X, y, probe, trees=10, seed=0)
 
@@ -215,7 +227,7 @@ def test_endless_all_left_splits_raise_like_the_recursion(p):
     with pytest.raises(RecursionError):
         _oracle_proba(X, y, X, trees=1, seed=0)
     with pytest.raises(RecursionError):
-        rf_fit(X, y, trees=1, seed=0)
+        _forest_proba(X, y, X, trees=1, seed=0)
 
 
 # --- lockstep forests: fold by fold, the forest grown alone -------------
@@ -234,10 +246,10 @@ def _assert_lockstep_matches_oracle(X, y, folds, trees):
         assert len(got) == len(folds)
         for (train, held), seed, proba in zip(folds, seeds, got):
             want = _oracle_proba(X[train], y[train], X[held], trees, seed)
-            alone = rf_fit(X[train], y[train], trees, seed)
+            alone = _forest_proba(X[train], y[train], X[held], trees, seed)
             assert proba.shape == want.shape
             assert proba.tobytes() == want.tobytes()
-            assert proba.tobytes() == alone.predict_proba(X[held]).tobytes()
+            assert proba.tobytes() == alone.tobytes()
     return got
 
 

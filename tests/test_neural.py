@@ -15,7 +15,6 @@ from gpdr.neural import (
     hidden_width,
     latent,
     train_autoencoder,
-    train_decoder,
     train_decoders,
 )
 
@@ -205,11 +204,11 @@ def test_decoder_fits_linear_map():
     rng = np.random.default_rng(6)
     L = rng.normal(size=(60, 2))
     Y = L @ rng.normal(size=(2, 3)) * 0.3
-    m = train_decoder(L, Y, TrainConfig(epochs=300, seed=0))
+    m = train_decoders([L], [Y], [TrainConfig(epochs=300, seed=0)])[0]
     base = float(np.mean((Y - Y.mean(axis=0)) ** 2))
     assert m.final_loss < 0.1 * base
     with pytest.raises(ValueError):
-        train_decoder(L, Y[:10], TrainConfig())
+        train_decoders([L], [Y[:10]], [TrainConfig()])
 
 
 def test_latent_requires_bottleneck():
@@ -224,7 +223,8 @@ def test_divergence_retries_then_raises():
     X = rng.normal(size=(20, 3)) * 1e6
     # a learning rate this large overflows the weights to inf at lr and lr/2
     with pytest.raises(TrainingError), np.errstate(over="ignore"):
-        train_decoder(X[:, :2], X, TrainConfig(epochs=5, learning_rate=1e200))
+        train_decoders([X[:, :2]], [X],
+                       [TrainConfig(epochs=5, learning_rate=1e200)])
 
 
 def test_stacked_decoders_match_oracle_on_equal_folds():
