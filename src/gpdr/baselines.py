@@ -1,6 +1,4 @@
-"""PCA and isomap baseline models, plus the DrModel wrapper that gives
-evolved genomes and baselines a common transform() surface.
-"""
+"""PCA and isomap baseline models."""
 
 from __future__ import annotations
 
@@ -9,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import geodesic
-from .gp_core import encode
 from .numerics import covariance_eigen, sym_eigen
 
 
@@ -103,20 +100,3 @@ def isomap_fit(X: np.ndarray, k: int, n_neighbors: int = 10) -> IsomapModel:
         _col_mean_sq=G2.mean(axis=0),
     )
 
-
-@dataclass
-class DrModel:
-    """Uniform wrapper: any fitted reducer exposing transform(rows) -> latent."""
-
-    kind: str                     # pca | isomap | gp | gp_auto
-    k: int
-    model: object = None          # PcaModel or IsomapModel
-    genome: object = None         # MultiTree or AutoencoderMultiTree
-
-    def transform(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        if self.kind == "gp":
-            return encode(self.genome, rows)
-        if self.kind == "gp_auto":
-            return encode(self.genome.encoder, rows)
-        return self.model.transform(rows)

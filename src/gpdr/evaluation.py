@@ -1,7 +1,7 @@
-"""Two-stage evaluation: embed the held-out split with a fitted DR model,
-then 10-fold cross-validate a random forest (balanced accuracy) and a
-neural decoder (reconstruction error) on the latent rows. Also the
-Mann-Whitney U test used to compare methods.
+"""Second-stage evaluation of the held-out split's latent rows: 10-fold
+cross-validate a random forest (balanced accuracy) and a neural decoder
+(reconstruction error). Also the Mann-Whitney U test used to compare
+methods.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import DrModel
 from .forest import balanced_accuracy, rf_fold_proba
 from .neural import TrainConfig, train_decoders
 
@@ -110,8 +109,7 @@ class EvaluationResult:
 
 
 def evaluate(
-    model: DrModel,
-    heldout_X: np.ndarray,
+    latent: np.ndarray,
     heldout_labels: np.ndarray,
     heldout_target: np.ndarray,
     seed: int,
@@ -121,13 +119,12 @@ def evaluate(
 ) -> EvaluationResult:
     """Fig.-2 second stage on the held-out rows.
 
-    ``heldout_X`` are standardized features (the DR model's input space);
+    ``latent`` are the held-out rows embedded by the fitted DR model;
     ``heldout_target`` are their PCA-space coordinates, the reconstruction
     target. Per fold: forest on 9/10 of the latent rows scored on the
     remaining 1/10, and a decoder latent->target trained likewise. The
     fold forests grow in lockstep and the fold decoders train as one stack.
     """
-    latent = model.transform(heldout_X)
     labels = np.asarray(heldout_labels, dtype=np.intp)
     n = latent.shape[0]
 

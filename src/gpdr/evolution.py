@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +21,14 @@ from .fitness import (
     score_output,
 )
 from .gp_core import (
+    MAX_DEPTH,
     AutoencoderMultiTree,
     depth,
     export_lines,
     ramped_autoencoders,
     ramped_half_and_half,
 )
-from .variation import MAX_DEPTH, VariationConfig, next_generation
+from .variation import next_generation
 
 log = logging.getLogger(__name__)
 
@@ -60,23 +61,19 @@ def _full_split_fitness(candidates, spec: FitnessSpec) -> list[float]:
 
 @dataclass
 class GpRunConfig:
+    """The run budget; the objective fixes the genome form."""
+
     population: int = 1000
     generations: int = 100
     k: int = 2
     batch_size: int = 100
     seed: int = 0
-    depth_min: int = 2
-    depth_max: int = 7
-    representation: str = "multi_tree"  # or "autoencoder"
-    variation: VariationConfig = field(default_factory=VariationConfig)
 
     def __post_init__(self):
         if self.population < 2 or self.generations < 1:
             raise ValueError("population >= 2 and generations >= 1 required")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.representation not in ("multi_tree", "autoencoder"):
-            raise ValueError(f"unknown representation {self.representation!r}")
 
 
 @dataclass
@@ -124,16 +121,12 @@ def evolve(
             f"{min(cfg.batch_size, n)}"
         )
 
-    if cfg.representation == "autoencoder":
+    if spec.objective == "gp_autoencoder":
         pop = ramped_autoencoders(
-            cfg.population, p, cfg.k, spec.target.shape[1],
-            cfg.depth_min, cfg.depth_max, cfg.variation.function_set, rng,
+            cfg.population, p, cfg.k, spec.target.shape[1], rng
         )
     else:
-        pop = ramped_half_and_half(
-            cfg.population, p, cfg.k,
-            cfg.depth_min, cfg.depth_max, cfg.variation.function_set, rng,
-        )
+        pop = ramped_half_and_half(cfg.population, p, cfg.k, rng)
 
     sampler = BatchSampler(batch_size=cfg.batch_size, seed=int(rng.integers(2**63)))
     history: list[float] = []
@@ -150,7 +143,7 @@ def evolve(
             _audit(pop, fits, cfg.population)
         if audit_hook is not None:
             audit_hook(gen, pop, fits)
-        pop = next_generation(pop, fits, cfg.variation, rng)
+        pop = next_generation(pop, fits, rng)
 
     # final winner: full DR-train re-scoring of archive + final population
     candidates = archive + pop

@@ -12,11 +12,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import DrModel, isomap_fit, pca_fit
+from .baselines import isomap_fit, pca_fit
 from .dataset import Dataset, load_csv, pca_target, split, standardize
 from .evaluation import evaluate, mann_whitney_u, significance_stars
 from .evolution import GpRunConfig, RunResult, evolve
 from .fitness import FitnessSpec
+from .gp_core import encode
 from .neural import TrainConfig, latent as mlp_latent, train_autoencoder
 
 RECORD_FORMAT = "gpdr-run-record"
@@ -165,12 +166,11 @@ def run_single(
     expressions: list[str] = []
     gp_result: Optional[RunResult] = None
     if method == "pca":
-        model = DrModel(kind="pca", k=k, model=pca_fit(train_std.features, k))
+        latent = pca_fit(train_std.features, k).transform(held_X)
     elif method == "isomap":
-        model = DrModel(
-            kind="isomap", k=k,
-            model=isomap_fit(train_std.features, k, cfg.n_neighbors),
-        )
+        latent = isomap_fit(
+            train_std.features, k, cfg.n_neighbors
+        ).transform(held_X)
     else:
         objective, metric = _GP_OBJECTIVE[method]
         teacher_latent = None
@@ -194,16 +194,17 @@ def run_single(
             k=k,
             batch_size=cfg.batch_size,
             seed=seed,
-            representation="autoencoder" if objective == "gp_autoencoder"
-            else "multi_tree",
         )
         gp_result = evolve(spec, gp_cfg)
         expressions = gp_result.expressions
-        kind = "gp_auto" if objective == "gp_autoencoder" else "gp"
-        model = DrModel(kind=kind, k=k, genome=gp_result.best_genome)
+        genome = gp_result.best_genome
+        # the autoencoder's latent is its encoder's output
+        if objective == "gp_autoencoder":
+            genome = genome.encoder
+        latent = encode(genome, held_X)
 
     ev = evaluate(
-        model, held_X, held_labels, held_target, seed=seed,
+        latent, held_labels, held_target, seed=seed,
         decoder_cfg=TrainConfig(epochs=cfg.decoder_epochs, seed=seed),
     )
 

@@ -15,15 +15,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 CLAMP = 1e12
-PLOG_EPS = 1e-6
 
-# default function set: polynomials only; extended set adds cos and plog
+# the function set: binary polynomial operators only
 FUNCTION_SET = ("-", "+", "*")
-EXTENDED_FUNCTION_SET = ("-", "+", "*", "cos", "plog")
-
-ARITY = {"-": 2, "+": 2, "*": 2, "cos": 1, "plog": 1}
 
 P_VARIABLE = 0.9  # terminal draw: variable vs ephemeral constant
+
+# the initial population ramps tree depth over DEPTH_MIN..MAX_DEPTH, and
+# variation keeps every tree within MAX_DEPTH
+DEPTH_MIN = 2
+MAX_DEPTH = 7
 
 
 class EvalError(ValueError):
@@ -71,8 +72,8 @@ def constant(v: float) -> Node:
 
 
 def op(name: str, *children: Node) -> Node:
-    if len(children) != ARITY[name]:
-        raise EvalError(f"{name} takes {ARITY[name]} children")
+    if name not in FUNCTION_SET or len(children) != 2:
+        raise EvalError(f"{name!r} is not a binary operator of {FUNCTION_SET}")
     return Node(name, None, tuple(children))
 
 
@@ -122,17 +123,14 @@ def _eval_node(node: Node, X: np.ndarray) -> np.ndarray:
         return X[:, node.value]
     if node.op == "const":
         return np.full(X.shape[0], node.value)
-    kids = [_eval_node(c, X) for c in node.children]
+    left, right = node.children
+    a, b = _eval_node(left, X), _eval_node(right, X)
     if node.op == "+":
-        out = kids[0] + kids[1]
+        out = a + b
     elif node.op == "-":
-        out = kids[0] - kids[1]
+        out = a - b
     elif node.op == "*":
-        out = kids[0] * kids[1]
-    elif node.op == "cos":
-        out = np.cos(kids[0])
-    elif node.op == "plog":
-        out = np.log(np.abs(kids[0]) + PLOG_EPS)
+        out = a * b
     else:
         raise EvalError(f"unknown operator {node.op!r}")
     return _clamp(out)
@@ -190,35 +188,20 @@ def grow_tree(
     input_arity: int,
     depth_max: int,
     rng: np.random.Generator,
-    function_set: Sequence[str] = FUNCTION_SET,
     depth_min: int = 0,
 ) -> Node:
-    """Grow method: operators chosen freely, forced below ``depth_min``."""
+    """Grow method: operators chosen freely, forced below ``depth_min``.
+    With ``depth_min == depth_max`` this is the full method: every leaf
+    sits at exactly ``depth_max``."""
 
     def rec(d: int) -> Node:
         if d >= depth_max:
             return _random_terminal(input_arity, rng)
         if d >= depth_min and rng.random() < 0.5:
             return _random_terminal(input_arity, rng)
-        name = function_set[int(rng.integers(len(function_set)))]
-        return Node(name, None, tuple(rec(d + 1) for _ in range(ARITY[name])))
-
-    return rec(0)
-
-
-def full_tree(
-    input_arity: int,
-    depth_target: int,
-    rng: np.random.Generator,
-    function_set: Sequence[str] = FUNCTION_SET,
-) -> Node:
-    """Full method: every leaf sits at exactly ``depth_target``."""
-
-    def rec(d: int) -> Node:
-        if d >= depth_target:
-            return _random_terminal(input_arity, rng)
-        name = function_set[int(rng.integers(len(function_set)))]
-        return Node(name, None, tuple(rec(d + 1) for _ in range(ARITY[name])))
+        name = FUNCTION_SET[int(rng.integers(len(FUNCTION_SET)))]
+        left = rec(d + 1)  # the left subtree draws first
+        return Node(name, None, (left, rec(d + 1)))
 
     return rec(0)
 
@@ -227,33 +210,23 @@ def ramped_half_and_half(
     count: int,
     input_arity: int,
     k_trees: int,
-    depth_min: int = 2,
-    depth_max: int = 7,
-    function_set: Sequence[str] = FUNCTION_SET,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> list[MultiTree]:
-    """Initial population: depths ramped over [depth_min, depth_max],
+    """Initial population: depths ramped over [DEPTH_MIN, MAX_DEPTH],
     half 'full' and half 'grow' per depth bucket.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    if count < 1 or depth_min > depth_max:
+    if count < 1:
         raise EvalError("bad ramped-half-and-half arguments")
-    depths = list(range(depth_min, depth_max + 1))
+    depths = list(range(DEPTH_MIN, MAX_DEPTH + 1))
     pop = []
     for i in range(count):
         d = depths[i % len(depths)]
         use_full = (i // len(depths)) % 2 == 0
-        trees = []
-        for _ in range(k_trees):
-            if use_full:
-                root = full_tree(input_arity, d, rng, function_set)
-            else:
-                root = grow_tree(
-                    input_arity, d, rng, function_set, depth_min=depth_min
-                )
-            trees.append(Tree(root, input_arity))
-        pop.append(MultiTree(tuple(trees)))
+        depth_min = d if use_full else DEPTH_MIN
+        pop.append(MultiTree(tuple(
+            Tree(grow_tree(input_arity, d, rng, depth_min), input_arity)
+            for _ in range(k_trees)
+        )))
     return pop
 
 
@@ -262,19 +235,10 @@ def ramped_autoencoders(
     input_arity: int,
     k_trees: int,
     decoder_outputs: int,
-    depth_min: int = 2,
-    depth_max: int = 7,
-    function_set: Sequence[str] = FUNCTION_SET,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> list[AutoencoderMultiTree]:
-    if rng is None:
-        rng = np.random.default_rng()
-    encoders = ramped_half_and_half(
-        count, input_arity, k_trees, depth_min, depth_max, function_set, rng
-    )
-    decoders = ramped_half_and_half(
-        count, k_trees, decoder_outputs, depth_min, depth_max, function_set, rng
-    )
+    encoders = ramped_half_and_half(count, input_arity, k_trees, rng)
+    decoders = ramped_half_and_half(count, k_trees, decoder_outputs, rng)
     return [AutoencoderMultiTree(e, d) for e, d in zip(encoders, decoders)]
 
 
@@ -286,12 +250,11 @@ def _fold(node: Node) -> Node:
     if node.is_terminal():
         return node
     kids = tuple(_fold(c) for c in node.children)
-    if all(c.op == "const" for c in kids):
+    a, b = kids
+    if a.op == "const" and b.op == "const":
         X = np.zeros((1, 1))
         v = float(_eval_node(Node(node.op, None, kids), X)[0])
         return constant(v)
-    a = kids[0]
-    b = kids[1] if len(kids) > 1 else None
     if node.op == "+":
         if a.op == "const" and a.value == 0.0:
             return b
@@ -322,9 +285,7 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
 def _fmt_const(v: float, precision: Optional[int]) -> str:
     if precision is None:
         return repr(v)
-    s = f"{v:.{precision}f}"
-    # keep at least one decimal so constants stay visually distinct
-    return s
+    return f"{v:.{precision}f}"
 
 
 def _to_infix(node: Node, names, precision) -> tuple[str, int]:
@@ -336,16 +297,17 @@ def _to_infix(node: Node, names, precision) -> tuple[str, int]:
         if v < 0:
             return f"({_fmt_const(v, precision)})", 99
         return _fmt_const(v, precision), 99
-    if ARITY[node.op] == 1:
-        inner, _ = _to_infix(node.children[0], names, precision)
-        return f"{node.op}({inner})", 99
     prec = _PRECEDENCE[node.op]
     lt, lp = _to_infix(node.children[0], names, precision)
     rt, rp = _to_infix(node.children[1], names, precision)
     if lp < prec:
         lt = f"({lt})"
-    # right operand needs parens at equal precedence for - and *? only
-    # subtraction is non-associative here; * is associative, + is too.
+    # only a right-hand "-" operand gets parentheses at equal precedence.
+    # Known defect: with rounding and the 1e12 clamp, + and * are not
+    # associative either, yet a right-nested a * (b * c) prints as
+    # a * b * c, which parse_infix reads back as (a * b) * c and may
+    # compute another value. Fixing it changes the exported expressions
+    # of every record.
     if rp < prec or (rp == prec and node.op == "-"):
         rt = f"({rt})"
     return f"{lt} {node.op} {rt}", prec
@@ -387,7 +349,7 @@ def parse_infix(
     """Parse the output of :func:`to_infix` back into a tree.
 
     Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := ['-'] (number | name | name '(' expr ')' | '(' expr ')').
+    factor := ['-'] (number | name | '(' expr ')').
     """
     if feature_names is None:
         feature_names = [f"x{j}" for j in range(input_arity)]
@@ -448,13 +410,6 @@ def parse_infix(
             return constant(val)
         if kind == "name":
             take()
-            if val in ARITY and ARITY[val] == 1:
-                if take() != ("op", "("):
-                    raise ParseError(f"expected '(' after {val}")
-                inner = expr()
-                if take() != ("op", ")"):
-                    raise ParseError("expected ')'")
-                return Node(val, None, (inner,))
             if val in name_to_idx:
                 return variable(name_to_idx[val])
             raise ParseError(f"unknown identifier {val!r}")

@@ -8,42 +8,27 @@ the swap at that index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .gp_core import (
-    ARITY,
     FUNCTION_SET,
+    MAX_DEPTH,
     AutoencoderMultiTree,
     MultiTree,
     Node,
     Tree,
-    constant,
+    _random_terminal,
     depth,
     grow_tree,
-    variable,
 )
 
-MAX_DEPTH = 7
-
-
-@dataclass(frozen=True)
-class VariationConfig:
-    p_c: float = 0.8
-    p_s: float = 0.2
-    p_o: float = 0.2
-    tournament_size: int = 7
-    elitism: int = 1
-    function_set: tuple = FUNCTION_SET
-
-    def __post_init__(self):
-        for r in (self.p_c, self.p_s, self.p_o):
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"rate {r} outside [0, 1]")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
+P_C = 0.8            # per-tree crossover rate
+P_S = 0.2            # per-tree subtree-mutation rate
+P_O = 0.2            # per-tree one-point-mutation rate
+TOURNAMENT_SIZE = 7
+ELITISM = 1          # best genomes copied verbatim into the next generation
 
 
 def tournament_select(pop: Sequence, fitnesses, size: int, rng: np.random.Generator):
@@ -140,10 +125,7 @@ def same_index_crossover(
 
 
 def subtree_mutation(
-    mt: MultiTree,
-    p_s: float,
-    rng: np.random.Generator,
-    function_set: Sequence[str] = FUNCTION_SET,
+    mt: MultiTree, p_s: float, rng: np.random.Generator
 ) -> MultiTree:
     """Per tree with probability p_s, replace a uniformly chosen node's
     subtree by a fresh grow subtree bounded to the remaining depth budget.
@@ -156,32 +138,26 @@ def subtree_mutation(
         nodes = _nodes_preorder(t.root)
         idx = int(rng.integers(len(nodes)))
         _, d = nodes[idx]
-        fresh = grow_tree(t.input_arity, MAX_DEPTH - d, rng, function_set)
+        fresh = grow_tree(t.input_arity, MAX_DEPTH - d, rng)
         out.append(Tree(_replace_at(t.root, idx, fresh), t.input_arity))
     return MultiTree(tuple(out))
 
 
 def _mutate_symbol(
-    node: Node, input_arity: int, rng: np.random.Generator,
-    function_set: Sequence[str],
+    node: Node, input_arity: int, rng: np.random.Generator
 ) -> Node:
     if node.is_terminal():
-        if rng.random() < 0.9:
-            return variable(int(rng.integers(input_arity)))
-        return constant(float(rng.normal()))
-    choices = [f for f in function_set if ARITY[f] == ARITY[node.op]]
-    name = choices[int(rng.integers(len(choices)))]
+        return _random_terminal(input_arity, rng)
+    name = FUNCTION_SET[int(rng.integers(len(FUNCTION_SET)))]
     return Node(name, None, node.children)
 
 
 def one_point_mutation(
-    mt: MultiTree,
-    p_o: float,
-    rng: np.random.Generator,
-    function_set: Sequence[str] = FUNCTION_SET,
+    mt: MultiTree, p_o: float, rng: np.random.Generator
 ) -> MultiTree:
-    """Per tree with probability p_o, swap one node's symbol for another of
-    identical arity; tree shape is unchanged.
+    """Per tree with probability p_o, redraw one node's symbol: a terminal
+    as a fresh terminal, an operator from the function set; tree shape is
+    unchanged.
     """
     out = []
     for t in mt.trees:
@@ -191,41 +167,38 @@ def one_point_mutation(
         nodes = _nodes_preorder(t.root)
         idx = int(rng.integers(len(nodes)))
         target, _ = nodes[idx]
-        replacement = _mutate_symbol(target, t.input_arity, rng, function_set)
+        replacement = _mutate_symbol(target, t.input_arity, rng)
         out.append(Tree(_replace_at(t.root, idx, replacement), t.input_arity))
     return MultiTree(tuple(out))
 
 
-def _vary_pair(pa, pb, cfg: VariationConfig, rng: np.random.Generator):
+def _vary_pair(pa, pb, rng: np.random.Generator):
     """Crossover -> subtree mutation -> one-point mutation on one parent pair.
 
     AMT genomes vary encoder-with-encoder and decoder-with-decoder.
     """
     if isinstance(pa, AutoencoderMultiTree):
-        ea, eb = same_index_crossover(pa.encoder, pb.encoder, cfg.p_c, rng)
-        da, db = same_index_crossover(pa.decoder, pb.decoder, cfg.p_c, rng)
+        ea, eb = same_index_crossover(pa.encoder, pb.encoder, P_C, rng)
+        da, db = same_index_crossover(pa.decoder, pb.decoder, P_C, rng)
         parts = []
         for enc, dec in ((ea, da), (eb, db)):
-            enc = subtree_mutation(enc, cfg.p_s, rng, cfg.function_set)
-            dec = subtree_mutation(dec, cfg.p_s, rng, cfg.function_set)
-            enc = one_point_mutation(enc, cfg.p_o, rng, cfg.function_set)
-            dec = one_point_mutation(dec, cfg.p_o, rng, cfg.function_set)
+            enc = subtree_mutation(enc, P_S, rng)
+            dec = subtree_mutation(dec, P_S, rng)
+            enc = one_point_mutation(enc, P_O, rng)
+            dec = one_point_mutation(dec, P_O, rng)
             parts.append(AutoencoderMultiTree(enc, dec))
         return parts
-    ca, cb = same_index_crossover(pa, pb, cfg.p_c, rng)
+    ca, cb = same_index_crossover(pa, pb, P_C, rng)
     out = []
     for c in (ca, cb):
-        c = subtree_mutation(c, cfg.p_s, rng, cfg.function_set)
-        c = one_point_mutation(c, cfg.p_o, rng, cfg.function_set)
+        c = subtree_mutation(c, P_S, rng)
+        c = one_point_mutation(c, P_O, rng)
         out.append(c)
     return out
 
 
 def next_generation(
-    pop: Sequence,
-    fitnesses,
-    cfg: VariationConfig,
-    rng: np.random.Generator,
+    pop: Sequence, fitnesses, rng: np.random.Generator
 ) -> list:
     """Elites copied verbatim, the rest filled by varied tournament parents.
 
@@ -235,11 +208,11 @@ def next_generation(
     if n < 2:
         raise ValueError("population must have at least 2 genomes")
     order = np.argsort(fitnesses, kind="stable")
-    new_pop = [pop[i] for i in order[: cfg.elitism]]
+    new_pop = [pop[i] for i in order[:ELITISM]]
     while len(new_pop) < n:
-        pa = tournament_select(pop, fitnesses, cfg.tournament_size, rng)
-        pb = tournament_select(pop, fitnesses, cfg.tournament_size, rng)
-        for child in _vary_pair(pa, pb, cfg, rng):
+        pa = tournament_select(pop, fitnesses, TOURNAMENT_SIZE, rng)
+        pb = tournament_select(pop, fitnesses, TOURNAMENT_SIZE, rng)
+        for child in _vary_pair(pa, pb, rng):
             if len(new_pop) < n:
                 new_pop.append(child)
     return new_pop

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from gpdr.baselines import (
-    DrModel,
     FitError,
     IsomapModel,
     isomap_fit,
     pca_fit,
 )
 from gpdr.distances import pairwise_euclidean
-from gpdr.gp_core import AutoencoderMultiTree, MultiTree, Tree, variable
 
 
 def test_pca_full_rank_reconstruction():
@@ -78,21 +76,3 @@ def test_isomap_rejects_k_above_embedding_rank():
     X = np.column_stack([np.cos(ang), np.sin(ang)])
     with pytest.raises(FitError):
         isomap_fit(X, 11, n_neighbors=2)
-
-
-def test_dr_model_dispatch():
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(30, 3))
-    pca = DrModel(kind="pca", k=2, model=pca_fit(X, 2))
-    assert pca.transform(X).shape == (30, 2)
-
-    mt = MultiTree((Tree(variable(0), 3), Tree(variable(2), 3)))
-    gp = DrModel(kind="gp", k=2, genome=mt)
-    assert np.array_equal(gp.transform(X), X[:, [0, 2]])
-
-    amt = AutoencoderMultiTree(
-        mt, MultiTree((Tree(variable(0), 2), Tree(variable(1), 2)))
-    )
-    gpa = DrModel(kind="gp_auto", k=2, genome=amt)
-    # transform uses only the encoder
-    assert np.array_equal(gpa.transform(X), X[:, [0, 2]])

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpdr.baselines import DrModel, pca_fit
+from gpdr.baselines import pca_fit
 from gpdr.evaluation import (
     _exact_two_sided_p,
     _stratified_folds,
@@ -99,8 +99,8 @@ def _toy_problem(seed=3, n=120):
 
 def test_evaluate_end_to_end():
     X, labels, target = _toy_problem()
-    model = DrModel(kind="pca", k=2, model=pca_fit(X, 2))
-    res = evaluate(model, X, labels, target, seed=0,
+    latent = pca_fit(X, 2).transform(X)
+    res = evaluate(latent, labels, target, seed=0,
                    decoder_cfg=TrainConfig(epochs=30, seed=0))
     assert len(res.fold_accuracies) == 10
     assert len(res.fold_errors) == 10
@@ -113,10 +113,10 @@ def test_evaluate_end_to_end():
 
 def test_evaluate_is_deterministic():
     X, labels, target = _toy_problem(seed=4)
-    model = DrModel(kind="pca", k=2, model=pca_fit(X, 2))
+    latent = pca_fit(X, 2).transform(X)
     cfg = TrainConfig(epochs=10, seed=0)
-    a = evaluate(model, X, labels, target, seed=5, decoder_cfg=cfg)
-    b = evaluate(model, X, labels, target, seed=5, decoder_cfg=cfg)
+    a = evaluate(latent, labels, target, seed=5, decoder_cfg=cfg)
+    b = evaluate(latent, labels, target, seed=5, decoder_cfg=cfg)
     assert a.fold_accuracies == b.fold_accuracies
     assert a.fold_errors == b.fold_errors
 
@@ -126,19 +126,18 @@ def test_evaluate_reduces_folds_for_rare_classes():
     labels = labels.copy()
     labels[:] = 0
     labels[:4] = 1  # only four rows of class 1
-    model = DrModel(kind="pca", k=2, model=pca_fit(X, 2))
+    latent = pca_fit(X, 2).transform(X)
     with pytest.warns(UserWarning, match="reducing folds"):
-        res = evaluate(model, X, labels, target, seed=0,
+        res = evaluate(latent, labels, target, seed=0,
                        decoder_cfg=TrainConfig(epochs=5, seed=0))
     assert len(res.fold_accuracies) == 4
 
 
-def _oracle_fold_accuracies(model, X, labels, seed, n_folds, rf_trees):
+def _oracle_fold_accuracies(latent, labels, seed, n_folds, rf_trees):
     """Each fold's balanced accuracy from the recursive oracle forest, one
     fold after another, with evaluate's folds and seeds."""
     from test_forest import _oracle_proba
 
-    latent = model.transform(X)
     folds = _stratified_folds(labels, n_folds, np.random.default_rng(seed))
     accs = []
     for f, test_idx in enumerate(folds):
@@ -149,12 +148,11 @@ def _oracle_fold_accuracies(model, X, labels, seed, n_folds, rf_trees):
     return accs
 
 
-def _oracle_fold_errors(model, X, labels, target, seed, n_folds, cfg):
+def _oracle_fold_errors(latent, labels, target, seed, n_folds, cfg):
     """Each fold's reconstruction error from the per-network oracle
     decoder, one fold after another, with evaluate's folds and seeds."""
     from test_neural import _oracle_forward_all, oracle_decoder
 
-    latent = model.transform(X)
     folds = _stratified_folds(labels, n_folds, np.random.default_rng(seed))
     errs = []
     for f, test_idx in enumerate(folds):
@@ -170,15 +168,15 @@ def _oracle_fold_errors(model, X, labels, target, seed, n_folds, cfg):
 def test_evaluate_fold_accuracies_match_per_fold_oracle():
     X, labels, target = _toy_problem(seed=8)
     X[:, 0] += np.random.default_rng(8).normal(size=len(labels))  # overlap
-    model = DrModel(kind="pca", k=2, model=pca_fit(X, 2))
+    latent = pca_fit(X, 2).transform(X)
     cfg = TrainConfig(epochs=4, seed=0)
-    res = evaluate(model, X, labels, target, seed=3, rf_trees=12,
+    res = evaluate(latent, labels, target, seed=3, rf_trees=12,
                    decoder_cfg=cfg)
     assert len(res.fold_accuracies) == 10
     assert res.fold_accuracies == _oracle_fold_accuracies(
-        model, X, labels, seed=3, n_folds=10, rf_trees=12)
+        latent, labels, seed=3, n_folds=10, rf_trees=12)
     assert res.fold_errors == _oracle_fold_errors(
-        model, X, labels, target, seed=3, n_folds=10, cfg=cfg)
+        latent, labels, target, seed=3, n_folds=10, cfg=cfg)
 
 
 def test_evaluate_reduced_folds_match_per_fold_oracle():
@@ -186,13 +184,13 @@ def test_evaluate_reduced_folds_match_per_fold_oracle():
     labels = labels.copy()
     labels[:] = 0
     labels[:4] = 1
-    model = DrModel(kind="pca", k=2, model=pca_fit(X, 2))
+    latent = pca_fit(X, 2).transform(X)
     cfg = TrainConfig(epochs=4, seed=0)
     with pytest.warns(UserWarning, match="reducing folds"):
-        res = evaluate(model, X, labels, target, seed=0, rf_trees=12,
+        res = evaluate(latent, labels, target, seed=0, rf_trees=12,
                        decoder_cfg=cfg)
     assert len(res.fold_accuracies) == 4
     assert res.fold_accuracies == _oracle_fold_accuracies(
-        model, X, labels, seed=0, n_folds=4, rf_trees=12)
+        latent, labels, seed=0, n_folds=4, rf_trees=12)
     assert res.fold_errors == _oracle_fold_errors(
-        model, X, labels, target, seed=0, n_folds=4, cfg=cfg)
+        latent, labels, target, seed=0, n_folds=4, cfg=cfg)

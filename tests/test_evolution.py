@@ -39,8 +39,6 @@ def test_config_validation():
         GpRunConfig(population=1)
     with pytest.raises(ValueError):
         GpRunConfig(generations=0)
-    with pytest.raises(ValueError):
-        GpRunConfig(representation="mystery")
 
 
 def test_batch_size_must_be_positive():
@@ -140,13 +138,17 @@ def test_evolve_best_fitness_is_full_split_value(objective):
         metric = None if objective == "gp_autoencoder" else "euclidean"
         spec = FitnessSpec(objective=objective, inputs=X, target=X[:, :3],
                            metric=metric)
-    representation = ("autoencoder" if objective == "gp_autoencoder"
-                      else "multi_tree")
+    genome_types = set()
     res = evolve(spec, GpRunConfig(population=40, generations=5, k=2,
-                                   batch_size=20, seed=4,
-                                   representation=representation))
+                                   batch_size=20, seed=4),
+                 audit_hook=lambda gen, pop, fits:
+                 genome_types.update(map(type, pop)))
     expected = _full_split_oracle(spec, res.best_genome)
     assert abs(res.best_fitness - expected) <= 1e-12
+    # the objective alone fixes the genome form
+    form = (AutoencoderMultiTree if objective == "gp_autoencoder"
+            else MultiTree)
+    assert genome_types == {form} and type(res.best_genome) is form
 
 
 def test_expressions_reparse_to_best_genome():
@@ -170,8 +172,7 @@ def test_evolve_autoencoder_representation():
     target = X[:, :2]  # 2-column reconstruction target
     spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=target)
     res = evolve(spec, GpRunConfig(population=40, generations=6, k=2,
-                                   batch_size=25, seed=6,
-                                   representation="autoencoder"))
+                                   batch_size=25, seed=6))
     assert isinstance(res.best_genome, AutoencoderMultiTree)
     assert res.best_genome.decoder.k == 2
     # encoder lines then decoder lines, tagged distinctly
@@ -187,8 +188,7 @@ def test_exported_autoencoder_lines_reproduce_train_fitness():
                               X[:, 3]])
     spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=target)
     res = evolve(spec, GpRunConfig(population=40, generations=6, k=2,
-                                   batch_size=30, seed=9,
-                                   representation="autoencoder"))
+                                   batch_size=30, seed=9))
 
     def evaluate_lines(prefix, count, arity, rows):
         lines = [e for e in res.expressions if e.startswith(prefix)]

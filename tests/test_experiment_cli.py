@@ -5,7 +5,11 @@ import pytest
 from click.testing import CliRunner
 
 from gpdr.cli import main
+from gpdr import experiment
+from gpdr.evaluation import EvaluationResult
+from gpdr.evolution import RunResult
 from gpdr.experiment import (
+    METHODS,
     ExperimentConfig,
     ExperimentError,
     ResultStore,
@@ -18,6 +22,7 @@ from gpdr.experiment import (
     write_record,
 )
 from gpdr.dataset import load_csv
+from gpdr.gp_core import AutoencoderMultiTree, MultiTree, Tree, op, variable
 
 
 @pytest.fixture(scope="module")
@@ -192,18 +197,63 @@ def test_record_round_trip(tmp_path):
             read_record(bad)
 
 
-def test_run_single_produces_complete_record(toy_csv, tmp_path):
+@pytest.mark.parametrize("method", METHODS)
+def test_run_single_produces_complete_record(toy_csv, tmp_path, method):
     data = load_csv(toy_csv, label_column="label")
     cfg = _tiny_config(toy_csv, tmp_path)
-    rec = run_single(data, "mt_teacher", 2, 0, cfg)
-    assert rec["method"] == "mt_teacher" and rec["k"] == 2
+    rec = run_single(data, method, 2, 0, cfg)
+    assert rec["method"] == method and rec["k"] == 2
     assert 0.0 <= rec["balanced_accuracy"] <= 1.0
     assert rec["reconstruction_error"] >= 0.0
-    assert len(rec["expressions"]) == 2
-    assert len(rec["fitness_history"]) == cfg.generations
-    assert rec["train_fitness"] is not None
+    assert len(rec["fold_accuracies"]) == len(rec["fold_errors"]) == 10
+    if method in ("pca", "isomap"):
+        assert rec["expressions"] == [] and rec["fitness_history"] == []
+        assert rec["train_fitness"] is None
+    else:
+        lines = [line.split(" = ", 1)[0] for line in rec["expressions"]]
+        want = ["X~0", "X~1"]
+        if method == "amt_gp":
+            want += [f"Xrec~{j}"
+                     for j in range(rec["pca_components_retained"])]
+        assert lines == want
+        assert len(rec["fitness_history"]) == cfg.generations
+        assert rec["train_fitness"] is not None
     assert "mean" in rec["standardizer"]
     json.dumps(rec)  # records must be JSON-serializable
+
+
+def test_run_single_embeds_heldout_rows_with_the_encoder(
+        toy_csv, tmp_path, monkeypatch):
+    """A multi-tree embeds the held-out rows itself; an autoencoder embeds
+    them with its encoder only, never its reconstruction."""
+    data = load_csv(toy_csv, label_column="label")
+    cfg = _tiny_config(toy_csv, tmp_path)
+    enc = MultiTree((Tree(variable(0), 4), Tree(variable(2), 4)))
+    dec = MultiTree((Tree(op("*", variable(0), variable(1)), 2),))
+    real_encode = experiment.encode
+    seen = {}
+
+    def encode_spy(genome, rows):
+        seen["genome"], seen["rows"] = genome, rows
+        return real_encode(genome, rows)
+
+    def evaluate_spy(latent, *args, **kwargs):
+        seen["latent"] = latent
+        return EvaluationResult(0.5, 1.0, [0.5], [1.0])
+
+    monkeypatch.setattr(experiment, "encode", encode_spy)
+    monkeypatch.setattr(experiment, "evaluate", evaluate_spy)
+    for method, genome in (("mt_dist_euclidean", enc),
+                           ("amt_gp", AutoencoderMultiTree(enc, dec))):
+        monkeypatch.setattr(
+            experiment, "evolve",
+            lambda spec, gp_cfg: RunResult(genome, 0.0, [0.0], 0.0,
+                                           gp_cfg.seed, []))
+        seen.clear()
+        run_single(data, method, 2, 0, cfg)
+        assert seen["genome"] is enc
+        assert seen["rows"].shape == (45, 4)  # the held-out half
+        assert np.array_equal(seen["latent"], seen["rows"][:, [0, 2]])
 
 
 def test_run_experiment_resumes(toy_csv, tmp_path):

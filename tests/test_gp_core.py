@@ -3,8 +3,6 @@ import pytest
 
 from gpdr.gp_core import (
     CLAMP,
-    EXTENDED_FUNCTION_SET,
-    PLOG_EPS,
     AutoencoderMultiTree,
     EvalError,
     MultiTree,
@@ -16,7 +14,6 @@ from gpdr.gp_core import (
     encode,
     eval_tree_rows,
     export_lines,
-    full_tree,
     grow_tree,
     node_count,
     op,
@@ -30,7 +27,7 @@ from gpdr.gp_core import (
 
 
 def _rand_tree(rng, arity=3, dmax=5):
-    return Tree(grow_tree(arity, dmax, rng, EXTENDED_FUNCTION_SET), arity)
+    return Tree(grow_tree(arity, dmax, rng), arity)
 
 
 def test_eval_basic_arithmetic():
@@ -38,14 +35,6 @@ def test_eval_basic_arithmetic():
     assert eval_tree_rows(t, np.array([[3.0, 4.0]]))[0] == 14.0
     X = np.array([[1.0, 2.0], [0.0, 5.0]])
     assert np.allclose(eval_tree_rows(t, X), [4.0, 2.0])
-
-
-def test_eval_unary_operators():
-    t = Tree(op("cos", variable(0)), 1)
-    assert np.isclose(eval_tree_rows(t, np.array([[0.0]]))[0], 1.0)
-    t = Tree(op("plog", variable(0)), 1)
-    got = eval_tree_rows(t, np.array([[0.0], [-np.e]]))
-    assert np.allclose(got, [np.log(PLOG_EPS), np.log(np.e + PLOG_EPS)])
 
 
 def test_eval_clamps_blowups():
@@ -110,7 +99,8 @@ def test_grow_and_full_respect_depth():
     for _ in range(50):
         g = Tree(grow_tree(4, 5, rng, depth_min=2), 4)
         assert depth(g) <= 5
-        f = Tree(full_tree(4, 3, rng), 4)
+        # depth_min == depth_max is the full method
+        f = Tree(grow_tree(4, 3, rng, depth_min=3), 4)
         assert depth(f) == 3
         # full trees over binary-only operators are complete binary trees
         assert node_count(f) == 2**4 - 1
@@ -174,8 +164,8 @@ def test_to_infix_formatting():
     assert to_infix(t) == "(x0 + x1) * x2"
     t = Tree(op("-", variable(0), op("-", variable(1), variable(2))), 3)
     assert to_infix(t) == "x0 - (x1 - x2)"
-    t = Tree(op("+", constant(-1.5), op("cos", variable(0))), 1)
-    assert to_infix(t) == "(-1.500) + cos(x0)"
+    t = Tree(op("+", constant(-1.5), variable(0)), 1)
+    assert to_infix(t) == "(-1.500) + x0"
     t = Tree(op("+", variable(0), constant(0.25)), 1, )
     assert to_infix(t, feature_names=["height"]) == "height + 0.250"
 
@@ -184,7 +174,7 @@ def test_infix_round_trip_random_trees():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(10, 4))
     for _ in range(60):
-        t = Tree(grow_tree(4, 5, rng, EXTENDED_FUNCTION_SET), 4)
+        t = Tree(grow_tree(4, 5, rng), 4)
         text = to_infix(t, constant_precision=None)
         back = parse_infix(text, 4)
         assert np.allclose(eval_tree_rows(t, X), eval_tree_rows(back, X),

@@ -7,7 +7,6 @@ from gpdr.gp_core import (
     Tree,
     constant,
     depth,
-    full_tree,
     grow_tree,
     node_count,
     op,
@@ -17,7 +16,6 @@ from gpdr.gp_core import (
 )
 from gpdr.variation import (
     MAX_DEPTH,
-    VariationConfig,
     _nodes_preorder,
     _replace_at,
     next_generation,
@@ -33,11 +31,9 @@ def _mt(rng, arity=3, k=2, dmax=4):
     return MultiTree(trees)
 
 
-def test_variation_config_validation():
-    with pytest.raises(ValueError):
-        VariationConfig(p_c=1.5)
-    with pytest.raises(ValueError):
-        VariationConfig(tournament_size=0)
+def _full(arity, rng):
+    """A full tree of depth MAX_DEPTH: every leaf at the depth cap."""
+    return grow_tree(arity, MAX_DEPTH, rng, depth_min=MAX_DEPTH)
 
 
 def test_tournament_select_prefers_low_fitness():
@@ -94,8 +90,8 @@ def test_crossover_zero_rate_copies_parents():
 def test_crossover_never_exceeds_depth_limit():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        a = MultiTree((Tree(full_tree(2, MAX_DEPTH, rng), 2),))
-        b = MultiTree((Tree(full_tree(2, MAX_DEPTH, rng), 2),))
+        a = MultiTree((Tree(_full(2, rng), 2),))
+        b = MultiTree((Tree(_full(2, rng), 2),))
         ca, cb = same_index_crossover(a, b, p_c=1.0, rng=rng)
         assert depth(ca.trees[0]) <= MAX_DEPTH
         assert depth(cb.trees[0]) <= MAX_DEPTH
@@ -110,7 +106,7 @@ def test_crossover_rejects_mismatched_parents():
 def test_subtree_mutation_respects_depth_budget():
     rng = np.random.default_rng(6)
     for _ in range(100):
-        mt = MultiTree((Tree(full_tree(3, MAX_DEPTH, rng), 3),))
+        mt = MultiTree((Tree(_full(3, rng), 3),))
         out = subtree_mutation(mt, p_s=1.0, rng=rng)
         assert depth(out.trees[0]) <= MAX_DEPTH
     mt = _mt(rng)
@@ -131,8 +127,7 @@ def test_next_generation_size_and_elitism():
     rng = np.random.default_rng(8)
     pop = ramped_half_and_half(30, input_arity=3, k_trees=2, rng=rng)
     fits = list(rng.normal(size=30))
-    cfg = VariationConfig()
-    new = next_generation(pop, fits, cfg, rng)
+    new = next_generation(pop, fits, rng)
     assert len(new) == 30
     assert new[0] == pop[int(np.argmin(fits))]  # elite survives verbatim
     for mt in new:
@@ -144,7 +139,7 @@ def test_next_generation_autoencoder_genomes():
     pop = ramped_autoencoders(20, input_arity=4, k_trees=2,
                               decoder_outputs=3, rng=rng)
     fits = list(rng.normal(size=20))
-    new = next_generation(pop, fits, VariationConfig(), rng)
+    new = next_generation(pop, fits, rng)
     assert len(new) == 20
     for amt in new:
         assert isinstance(amt, AutoencoderMultiTree)
