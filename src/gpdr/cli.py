@@ -10,6 +10,7 @@ import click
 
 from .dataset import IngestionError, load_csv
 from .experiment import (
+    DESK_SCALE,
     METHODS,
     ExperimentConfig,
     ExperimentError,
@@ -50,7 +51,8 @@ def _build_config(config, overrides) -> ExperimentConfig:
 @click.option("--batch-size", type=int, default=None)
 @click.option("--workers", type=int, default=None)
 @click.option("--desk-scale", is_flag=True,
-              help="Reduced budget: P=200, G=30, 10 runs, b=100.")
+              help="Reduced budget: P=200, G=30, 10 runs, b=100; the "
+                   "budget flags given override it.")
 def run(config, desk_scale, methods, k_list, **flags):
     """Run the (method x k x run) sweep and persist one record per run."""
     overrides = dict(flags)
@@ -58,10 +60,12 @@ def run(config, desk_scale, methods, k_list, **flags):
         overrides["methods"] = list(methods)
     if k_list:
         overrides["k_list"] = list(k_list)
+    if desk_scale:
+        for name, value in DESK_SCALE.items():
+            if overrides[name] is None:
+                overrides[name] = value
     try:
         cfg = _build_config(config, overrides)
-        if desk_scale:
-            cfg.apply_desk_scale()
         store = run_experiment(
             cfg,
             progress=lambda i, n: click.echo(f"run {i}/{n} done", err=True),

@@ -44,6 +44,11 @@ _GP_OBJECTIVE = {
 }
 
 
+# the reduced budget of acceptance-style runs (``gpdr run --desk-scale``)
+DESK_SCALE = {"population": 200, "generations": 30, "runs": 10,
+              "batch_size": 100}
+
+
 class ExperimentError(ValueError):
     pass
 
@@ -73,8 +78,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not self.methods:
-            raise ExperimentError("methods must be nonempty")
+        for name in ("methods", "k_list"):
+            value = getattr(self, name)
+            # a bare string or number is a config slip, not a list of one
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ExperimentError(
+                    f"{name} must be a nonempty list, got {value!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise ExperimentError(f"unknown method {m!r}")
@@ -103,10 +112,8 @@ class ExperimentConfig:
 
     def apply_desk_scale(self):
         """Reduced-budget preset for acceptance-style runs."""
-        self.population = 200
-        self.generations = 30
-        self.runs = 10
-        self.batch_size = 100
+        for name, value in DESK_SCALE.items():
+            setattr(self, name, value)
 
     @classmethod
     def from_yaml(cls, path, **overrides) -> "ExperimentConfig":

@@ -1,9 +1,17 @@
 """Expression-tree genomes: construction, vectorized evaluation, size
 accounting and human-readable export.
 
-A tree is a recursive tuple of ``Node`` objects. Evaluation is vectorized
-over the rows of a matrix; every operator output is clamped to +/-1e12 and
-NaN is replaced by 0 so depth-7 polynomials cannot blow up on data tails.
+A tree is a flat tuple of ``(symbol, value)`` node pairs in preorder:
+``("var", j)`` reads input column j, ``("const", v)`` is the constant v,
+and ``(op, None)`` is a binary operator, followed by its left subtree and
+then its right subtree. So every subtree is a slice ``nodes[i:end]``, and
+variation splices slices. Preorder is also draw order: ``grow_tree`` draws
+a node, then its left subtree, then its right one, and appends each node as
+it is drawn, so a preorder index names the same node the draws made.
+
+Evaluation is vectorized over the rows of a matrix; every operator output
+is clamped to +/-1e12 and NaN is replaced by 0 so depth-7 polynomials
+cannot blow up on data tails.
 """
 
 from __future__ import annotations
@@ -16,8 +24,9 @@ import numpy as np
 
 CLAMP = 1e12
 
-# the function set: binary polynomial operators only
-FUNCTION_SET = ("-", "+", "*")
+# the function set: binary polynomial operators only, in draw order
+_UFUNCS = {"-": np.subtract, "+": np.add, "*": np.multiply}
+FUNCTION_SET = tuple(_UFUNCS)
 
 P_VARIABLE = 0.9  # terminal draw: variable vs ephemeral constant
 
@@ -31,55 +40,23 @@ class EvalError(ValueError):
     pass
 
 
-class Node:
-    """One tree node: a variable, a constant, or an operator."""
-
-    __slots__ = ("op", "value", "children")
-
-    def __init__(self, op: str, value=None, children: tuple = ()):
-        self.op = op            # 'var', 'const', or an operator name
-        self.value = value      # variable index or constant value
-        self.children = children
-
-    def is_terminal(self) -> bool:
-        return self.op in ("var", "const")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Node)
-            and self.op == other.op
-            and self.value == other.value
-            and self.children == other.children
-        )
-
-    def __hash__(self):
-        return hash((self.op, self.value, self.children))
-
-    def __repr__(self):
-        if self.op == "var":
-            return f"x{self.value}"
-        if self.op == "const":
-            return f"{self.value!r}"
-        return f"({self.op} {' '.join(map(repr, self.children))})"
+def variable(j: int) -> tuple:
+    return (("var", j),)
 
 
-def variable(j: int) -> Node:
-    return Node("var", j)
+def constant(v: float) -> tuple:
+    return (("const", float(v)),)
 
 
-def constant(v: float) -> Node:
-    return Node("const", float(v))
-
-
-def op(name: str, *children: Node) -> Node:
-    if name not in FUNCTION_SET or len(children) != 2:
+def op(name: str, left: tuple, right: tuple) -> tuple:
+    if name not in FUNCTION_SET:
         raise EvalError(f"{name!r} is not a binary operator of {FUNCTION_SET}")
-    return Node(name, None, tuple(children))
+    return ((name, None),) + left + right
 
 
 @dataclass(frozen=True)
 class Tree:
-    root: Node
+    nodes: tuple  # (symbol, value) pairs in preorder
     input_arity: int
 
 
@@ -110,6 +87,40 @@ class AutoencoderMultiTree:
             raise EvalError("decoder arity must equal encoder tree count")
 
 
+def subtree_end(nodes: tuple, i: int) -> int:
+    """One past the last node of the subtree that starts at index ``i``."""
+    open_slots = 1
+    while open_slots:
+        open_slots += 1 if nodes[i][0] in FUNCTION_SET else -1
+        i += 1
+    return i
+
+
+def node_depths(nodes: tuple) -> list[int]:
+    """The depth of every node, in preorder; the root is at depth 0."""
+    depths, pending = [], [0]
+    for symbol, _ in nodes:
+        d = pending.pop()
+        depths.append(d)
+        if symbol in FUNCTION_SET:
+            pending += (d + 1, d + 1)
+    return depths
+
+
+def _reduce(nodes: tuple, leaf, combine):
+    """Fold a tree bottom-up: ``leaf(symbol, value)`` at each terminal and
+    ``combine(op, left, right)`` at each operator. Walking the preorder
+    backwards meets both operands before their operator, left one on top."""
+    stack = []
+    for symbol, value in reversed(nodes):
+        if symbol in FUNCTION_SET:
+            left = stack.pop()
+            stack.append(combine(symbol, left, stack.pop()))
+        else:
+            stack.append(leaf(symbol, value))
+    return stack.pop()
+
+
 def _clamp(a: np.ndarray) -> np.ndarray:
     # same bits as nan_to_num(nan=0, posinf=CLAMP, neginf=-CLAMP) then
     # clip: clip keeps NaN and maps +-inf to +-CLAMP
@@ -118,22 +129,18 @@ def _clamp(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _eval_node(node: Node, X: np.ndarray) -> np.ndarray:
-    if node.op == "var":
-        return X[:, node.value]
-    if node.op == "const":
-        return np.full(X.shape[0], node.value)
-    left, right = node.children
-    a, b = _eval_node(left, X), _eval_node(right, X)
-    if node.op == "+":
-        out = a + b
-    elif node.op == "-":
-        out = a - b
-    elif node.op == "*":
-        out = a * b
-    else:
-        raise EvalError(f"unknown operator {node.op!r}")
-    return _clamp(out)
+def _evaluate(nodes: tuple, X: np.ndarray) -> np.ndarray:
+    # _reduce's loop, written out: this is the hot path of batch scoring
+    stack = []
+    for symbol, value in reversed(nodes):
+        if symbol == "var":
+            stack.append(X[:, value])
+        elif symbol == "const":
+            stack.append(np.full(X.shape[0], value))
+        else:
+            left = stack.pop()
+            stack.append(_clamp(_UFUNCS[symbol](left, stack.pop())))
+    return stack.pop()
 
 
 def eval_tree_rows(t: Tree, X: np.ndarray) -> np.ndarray:
@@ -143,7 +150,7 @@ def eval_tree_rows(t: Tree, X: np.ndarray) -> np.ndarray:
         raise EvalError(
             f"input width {X.shape} does not match arity {t.input_arity}"
         )
-    return _eval_node(t.root, X)
+    return _evaluate(t.nodes, X)
 
 
 def encode(mt: MultiTree, X: np.ndarray) -> np.ndarray:
@@ -159,29 +166,25 @@ def autoencode(amt: AutoencoderMultiTree, X: np.ndarray):
 
 
 def node_count(t: Tree) -> int:
-    def rec(n: Node) -> int:
-        return 1 + sum(rec(c) for c in n.children)
-
-    return rec(t.root)
+    return len(t.nodes)
 
 
 def depth(t: Tree) -> int:
-    def rec(n: Node) -> int:
-        if not n.children:
-            return 0
-        return 1 + max(rec(c) for c in n.children)
-
-    return rec(t.root)
+    return max(node_depths(t.nodes))
 
 
 # ---------------------------------------------------------------------------
 # random generation
 
 
-def _random_terminal(input_arity: int, rng: np.random.Generator) -> Node:
+def _random_terminal(input_arity: int, rng: np.random.Generator) -> tuple:
     if rng.random() < P_VARIABLE:
-        return variable(int(rng.integers(input_arity)))
-    return constant(float(rng.normal()))
+        return ("var", int(rng.integers(input_arity)))
+    return ("const", float(rng.normal()))
+
+
+def _random_operator(rng: np.random.Generator) -> tuple:
+    return (FUNCTION_SET[int(rng.integers(len(FUNCTION_SET)))], None)
 
 
 def grow_tree(
@@ -189,21 +192,19 @@ def grow_tree(
     depth_max: int,
     rng: np.random.Generator,
     depth_min: int = 0,
-) -> Node:
+) -> tuple:
     """Grow method: operators chosen freely, forced below ``depth_min``.
     With ``depth_min == depth_max`` this is the full method: every leaf
     sits at exactly ``depth_max``."""
-
-    def rec(d: int) -> Node:
-        if d >= depth_max:
-            return _random_terminal(input_arity, rng)
-        if d >= depth_min and rng.random() < 0.5:
-            return _random_terminal(input_arity, rng)
-        name = FUNCTION_SET[int(rng.integers(len(FUNCTION_SET)))]
-        left = rec(d + 1)  # the left subtree draws first
-        return Node(name, None, (left, rec(d + 1)))
-
-    return rec(0)
+    nodes, pending = [], [0]
+    while pending:
+        d = pending.pop()
+        if d >= depth_max or (d >= depth_min and rng.random() < 0.5):
+            nodes.append(_random_terminal(input_arity, rng))
+        else:
+            nodes.append(_random_operator(rng))
+            pending += (d + 1, d + 1)
+    return tuple(nodes)
 
 
 def ramped_half_and_half(
@@ -246,37 +247,33 @@ def ramped_autoencoders(
 # simplification and infix export
 
 
-def _fold(node: Node) -> Node:
-    if node.is_terminal():
-        return node
-    kids = tuple(_fold(c) for c in node.children)
-    a, b = kids
-    if a.op == "const" and b.op == "const":
-        X = np.zeros((1, 1))
-        v = float(_eval_node(Node(node.op, None, kids), X)[0])
-        return constant(v)
-    if node.op == "+":
-        if a.op == "const" and a.value == 0.0:
+def _fold(name: str, a: tuple, b: tuple) -> tuple:
+    (sa, va), (sb, vb) = a[0], b[0]
+    if sa == "const" and sb == "const":
+        return constant(float(_evaluate(op(name, a, b), np.zeros((1, 1)))[0]))
+    if name == "+":
+        if sa == "const" and va == 0.0:
             return b
-        if b.op == "const" and b.value == 0.0:
+        if sb == "const" and vb == 0.0:
             return a
-    elif node.op == "-":
-        if b.op == "const" and b.value == 0.0:
+    elif name == "-":
+        if sb == "const" and vb == 0.0:
             return a
-    elif node.op == "*":
-        for u, w in ((a, b), (b, a)):
-            if u.op == "const":
-                if u.value == 0.0:
+    elif name == "*":
+        for (su, vu), w in ((a[0], b), (b[0], a)):
+            if su == "const":
+                if vu == 0.0:
                     return constant(0.0)
-                if u.value == 1.0:
+                if vu == 1.0:
                     return w
-    return Node(node.op, None, kids)
+    return op(name, a, b)
 
 
 def simplify(t: Tree) -> Tree:
     """Semantics-preserving cleanup: constant folding plus +/-0 and *1/*0
     identity removal."""
-    return Tree(_fold(t.root), t.input_arity)
+    nodes = _reduce(t.nodes, lambda s, v: ((s, v),), _fold)
+    return Tree(nodes, t.input_arity)
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
@@ -288,29 +285,32 @@ def _fmt_const(v: float, precision: Optional[int]) -> str:
     return f"{v:.{precision}f}"
 
 
-def _to_infix(node: Node, names, precision) -> tuple[str, int]:
-    """Returns (text, precedence-of-this-node)."""
-    if node.op == "var":
-        return names[node.value], 99
-    if node.op == "const":
-        v = node.value
-        if v < 0:
-            return f"({_fmt_const(v, precision)})", 99
-        return _fmt_const(v, precision), 99
-    prec = _PRECEDENCE[node.op]
-    lt, lp = _to_infix(node.children[0], names, precision)
-    rt, rp = _to_infix(node.children[1], names, precision)
-    if lp < prec:
-        lt = f"({lt})"
-    # only a right-hand "-" operand gets parentheses at equal precedence.
-    # Known defect: with rounding and the 1e12 clamp, + and * are not
-    # associative either, yet a right-nested a * (b * c) prints as
-    # a * b * c, which parse_infix reads back as (a * b) * c and may
-    # compute another value. Fixing it changes the exported expressions
-    # of every record.
-    if rp < prec or (rp == prec and node.op == "-"):
-        rt = f"({rt})"
-    return f"{lt} {node.op} {rt}", prec
+def _to_infix(nodes: tuple, names, precision) -> tuple[str, int]:
+    """Returns (text, precedence-of-the-root)."""
+
+    def leaf(symbol, value):
+        if symbol == "var":
+            return names[value], 99
+        if value < 0:
+            return f"({_fmt_const(value, precision)})", 99
+        return _fmt_const(value, precision), 99
+
+    def combine(name, left, right):
+        prec = _PRECEDENCE[name]
+        (lt, lp), (rt, rp) = left, right
+        if lp < prec:
+            lt = f"({lt})"
+        # only a right-hand "-" operand gets parentheses at equal
+        # precedence. Known defect: with rounding and the 1e12 clamp, + and
+        # * are not associative either, yet a right-nested a * (b * c)
+        # prints as a * b * c, which parse_infix reads back as (a * b) * c
+        # and may compute another value. Fixing it changes the exported
+        # expressions of every record.
+        if rp < prec or (rp == prec and name == "-"):
+            rt = f"({rt})"
+        return f"{lt} {name} {rt}", prec
+
+    return _reduce(nodes, leaf, combine)
 
 
 def to_infix(
@@ -326,7 +326,7 @@ def to_infix(
     if feature_names is None:
         feature_names = [f"x{j}" for j in range(t.input_arity)]
     s = simplify(t)
-    text, _ = _to_infix(s.root, feature_names, constant_precision)
+    text, _ = _to_infix(s.nodes, feature_names, constant_precision)
     return text
 
 
@@ -383,28 +383,28 @@ def parse_infix(
         i += 1
         return t
 
-    def expr() -> Node:
-        node = term()
+    def expr() -> tuple:
+        nodes = term()
         while peek() == ("op", "+") or peek() == ("op", "-"):
             _, o = take()
-            node = Node(o, None, (node, term()))
-        return node
+            nodes = op(o, nodes, term())
+        return nodes
 
-    def term() -> Node:
-        node = factor()
+    def term() -> tuple:
+        nodes = factor()
         while peek() == ("op", "*"):
             take()
-            node = Node("*", None, (node, factor()))
-        return node
+            nodes = op("*", nodes, factor())
+        return nodes
 
-    def factor() -> Node:
+    def factor() -> tuple:
         kind, val = peek()
         if (kind, val) == ("op", "-"):
             take()
             inner = factor()
-            if inner.op == "const":
-                return constant(-inner.value)
-            return Node("-", None, (constant(0.0), inner))
+            if inner[0][0] == "const":
+                return constant(-inner[0][1])
+            return op("-", constant(0.0), inner)
         if kind == "num":
             take()
             return constant(val)
@@ -421,10 +421,10 @@ def parse_infix(
             return inner
         raise ParseError(f"unexpected token {val!r}")
 
-    root = expr()
+    nodes = expr()
     if peek()[0] != "end":
         raise ParseError(f"trailing input: {tokens[i:]}")
-    return Tree(root, input_arity)
+    return Tree(nodes, input_arity)
 
 
 def export_lines(

@@ -1,9 +1,10 @@
 """Tournament selection and the three genetic operators.
 
 Operators apply per tree index (crossover only between trees at the same
-index of the two parents) and never mutate shared structure: offspring are
-fresh trees. Depth-7 violations from crossover are repaired by rejecting
-the swap at that index.
+index of the two parents). A tree is a preorder tuple of nodes, so each
+operator picks a preorder index and splices slices: offspring are fresh
+tuples and parents are untouched. Depth-7 violations from crossover are
+repaired by rejecting the swap at that index.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from .gp_core import (
     MAX_DEPTH,
     AutoencoderMultiTree,
     MultiTree,
-    Node,
     Tree,
+    _random_operator,
     _random_terminal,
     depth,
     grow_tree,
+    node_depths,
+    subtree_end,
 )
 
 P_C = 0.8            # per-tree crossover rate
@@ -46,49 +49,6 @@ def tournament_select(pop: Sequence, fitnesses, size: int, rng: np.random.Genera
     return pop[best]
 
 
-def _nodes_preorder(root: Node) -> list[tuple[Node, int]]:
-    """All (node, depth) pairs in preorder."""
-    out = []
-
-    def rec(n: Node, d: int):
-        out.append((n, d))
-        for c in n.children:
-            rec(c, d + 1)
-
-    rec(root, 0)
-    return out
-
-
-def _replace_at(root: Node, index: int, replacement: Node) -> Node:
-    """Rebuild the tree with the node at the given preorder index replaced.
-
-    Index-based (not identity-based) so duplicated subtree objects, which
-    self-crossover can produce, never cause double replacement.
-    """
-    counter = [0]
-
-    def rec(n: Node) -> Node:
-        i = counter[0]
-        counter[0] += 1
-        if i == index:
-            # advance the counter past the replaced subtree
-            counter[0] += sum(1 for _ in _iter_nodes(n)) - 1
-            return replacement
-        if not n.children:
-            return n
-        return Node(n.op, n.value, tuple(rec(c) for c in n.children))
-
-    return rec(root)
-
-
-def _iter_nodes(root: Node):
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(n.children)
-
-
 def same_index_crossover(
     a: MultiTree,
     b: MultiTree,
@@ -107,14 +67,14 @@ def same_index_crossover(
             out_a.append(ta)
             out_b.append(tb)
             continue
-        nodes_a = _nodes_preorder(ta.root)
-        nodes_b = _nodes_preorder(tb.root)
-        ia = int(rng.integers(len(nodes_a)))
-        ib = int(rng.integers(len(nodes_b)))
-        na, _ = nodes_a[ia]
-        nb, _ = nodes_b[ib]
-        child_a = Tree(_replace_at(ta.root, ia, nb), ta.input_arity)
-        child_b = Tree(_replace_at(tb.root, ib, na), tb.input_arity)
+        a_nodes, b_nodes = ta.nodes, tb.nodes
+        ia = int(rng.integers(len(a_nodes)))
+        ib = int(rng.integers(len(b_nodes)))
+        ea, eb = subtree_end(a_nodes, ia), subtree_end(b_nodes, ib)
+        child_a = Tree(a_nodes[:ia] + b_nodes[ib:eb] + a_nodes[ea:],
+                       ta.input_arity)
+        child_b = Tree(b_nodes[:ib] + a_nodes[ia:ea] + b_nodes[eb:],
+                       tb.input_arity)
         if depth(child_a) > MAX_DEPTH or depth(child_b) > MAX_DEPTH:
             out_a.append(ta)
             out_b.append(tb)
@@ -135,21 +95,13 @@ def subtree_mutation(
         if rng.random() >= p_s:
             out.append(t)
             continue
-        nodes = _nodes_preorder(t.root)
+        nodes = t.nodes
         idx = int(rng.integers(len(nodes)))
-        _, d = nodes[idx]
-        fresh = grow_tree(t.input_arity, MAX_DEPTH - d, rng)
-        out.append(Tree(_replace_at(t.root, idx, fresh), t.input_arity))
+        budget = MAX_DEPTH - node_depths(nodes)[idx]
+        fresh = grow_tree(t.input_arity, budget, rng)
+        out.append(Tree(nodes[:idx] + fresh + nodes[subtree_end(nodes, idx):],
+                        t.input_arity))
     return MultiTree(tuple(out))
-
-
-def _mutate_symbol(
-    node: Node, input_arity: int, rng: np.random.Generator
-) -> Node:
-    if node.is_terminal():
-        return _random_terminal(input_arity, rng)
-    name = FUNCTION_SET[int(rng.integers(len(FUNCTION_SET)))]
-    return Node(name, None, node.children)
 
 
 def one_point_mutation(
@@ -164,11 +116,14 @@ def one_point_mutation(
         if rng.random() >= p_o:
             out.append(t)
             continue
-        nodes = _nodes_preorder(t.root)
+        nodes = t.nodes
         idx = int(rng.integers(len(nodes)))
-        target, _ = nodes[idx]
-        replacement = _mutate_symbol(target, t.input_arity, rng)
-        out.append(Tree(_replace_at(t.root, idx, replacement), t.input_arity))
+        if nodes[idx][0] in FUNCTION_SET:
+            replacement = _random_operator(rng)
+        else:
+            replacement = _random_terminal(t.input_arity, rng)
+        out.append(Tree(nodes[:idx] + (replacement,) + nodes[idx + 1:],
+                        t.input_arity))
     return MultiTree(tuple(out))
 
 

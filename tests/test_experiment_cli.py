@@ -75,13 +75,15 @@ def test_config_validation(toy_csv):
            ("dr_fraction", -0.5), ("dr_fraction", 1.5),
            ("dr_fraction", float("nan")), ("dr_fraction", "half"),
            ("runs", 1.5), ("k_list", [2.5]), ("k_list", [2, 0]),
+           ("k_list", 2), ("k_list", "23"), ("k_list", []),
+           ("methods", "pca"), ("methods", None), ("methods", []),
            ("master_seed", -1), ("master_seed", 1.5), ("master_seed", "1"),
            ("master_seed", True), ("variance_fraction", 0.0),
            ("variance_fraction", -0.5), ("variance_fraction", 1.01),
            ("variance_fraction", 99), ("variance_fraction", float("nan")),
            ("variance_fraction", True), ("variance_fraction", "all")]
     for name, value in bad:
-        message = "k must" if name == "k_list" else name
+        message = "k must" if value in ([2.5], [2, 0]) else name
         with pytest.raises(ExperimentError, match=message):
             ExperimentConfig(dataset_path=toy_csv, **{name: value})
     # the least accepted values
@@ -120,12 +122,47 @@ def test_config_from_yaml_rejects_unknown_keys(toy_csv, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.output and "populaton" in result.output
+    for text in ("k_list: 2\n", "methods: pca\n"):
+        y.write_text(f"dataset_path: {toy_csv}\n{text}")
+        result = CliRunner().invoke(main, ["run", "--config", str(y)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output and "nonempty list" in result.output
     for text in ("42\n", "hello\n", "[runs, 2]\n"):
         y.write_text(text)
         result = CliRunner().invoke(main, ["run", "--config", str(y)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "not a mapping" in result.output
+
+
+def test_cli_desk_scale_keeps_the_budget_flags_given(toy_csv, tmp_path,
+                                                     monkeypatch):
+    seen = []
+
+    def fake_run(cfg, progress):
+        seen.append(cfg)
+        return ResultStore(cfg.output_dir)
+
+    monkeypatch.setattr("gpdr.cli.run_experiment", fake_run)
+    y = tmp_path / "cfg.yaml"
+    y.write_text(f"dataset_path: {toy_csv}\npopulation: 500\nruns: 7\n")
+    base = ["run", "--dataset", toy_csv, "--output-dir", str(tmp_path / "r")]
+    cases = [
+        (base + ["--desk-scale"], (200, 30, 10, 100)),
+        (base + ["--desk-scale", "--runs", "2", "--population", "50",
+                 "--generations", "4", "--batch-size", "25"], (50, 4, 2, 25)),
+        (base + ["--runs", "2"], (1000, 100, 2, 100)),
+        # the preset outranks the file's keys, as any flag does
+        (["run", "--config", str(y), "--desk-scale", "--generations", "3"],
+         (200, 3, 10, 100)),
+    ]
+    for args, budget in cases:
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 0, r.output
+        cfg = seen.pop()
+        assert (cfg.population, cfg.generations, cfg.runs,
+                cfg.batch_size) == budget, args
 
 
 def test_cli_run_rejects_nonpositive_batch_size(toy_csv, tmp_path):

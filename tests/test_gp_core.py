@@ -138,15 +138,15 @@ def test_ramped_autoencoders_shapes():
 
 def test_simplify_folds_constants_and_identities():
     t = Tree(op("+", constant(2.0), constant(3.0)), 1)
-    assert simplify(t).root == constant(5.0)
+    assert simplify(t).nodes == constant(5.0)
     t = Tree(op("+", variable(0), constant(0.0)), 1)
-    assert simplify(t).root == variable(0)
+    assert simplify(t).nodes == variable(0)
     t = Tree(op("*", constant(1.0), variable(0)), 1)
-    assert simplify(t).root == variable(0)
+    assert simplify(t).nodes == variable(0)
     t = Tree(op("*", variable(0), constant(0.0)), 1)
-    assert simplify(t).root == constant(0.0)
+    assert simplify(t).nodes == constant(0.0)
     t = Tree(op("-", variable(0), constant(0.0)), 1)
-    assert simplify(t).root == variable(0)
+    assert simplify(t).nodes == variable(0)
 
 
 def test_simplify_preserves_semantics():

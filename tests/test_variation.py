@@ -9,15 +9,15 @@ from gpdr.gp_core import (
     depth,
     grow_tree,
     node_count,
+    node_depths,
     op,
     ramped_autoencoders,
     ramped_half_and_half,
+    subtree_end,
     variable,
 )
 from gpdr.variation import (
     MAX_DEPTH,
-    _nodes_preorder,
-    _replace_at,
     next_generation,
     one_point_mutation,
     same_index_crossover,
@@ -52,22 +52,36 @@ def test_tournament_select_tie_breaks_to_lowest_index():
         assert tournament_select(pop, [1.0, 1.0], 10, rng) == "first"
 
 
-def test_replace_at_is_index_based():
-    # a tree whose two children are the same object: replacing preorder
-    # index 1 must not touch index 2
-    shared = variable(0)
-    root = op("+", shared, shared)
-    out = _replace_at(root, 1, constant(9.0))
-    assert out.children[0] == constant(9.0)
-    assert out.children[1] == variable(0)
-    # replacing the root returns the replacement itself
-    assert _replace_at(root, 0, constant(1.0)) == constant(1.0)
+def test_node_depths_and_subtree_ends():
+    nodes = op("+", variable(0), op("*", variable(1), constant(1.0)))
+    assert nodes == (("+", None), ("var", 0), ("*", None), ("var", 1),
+                     ("const", 1.0))
+    assert node_depths(nodes) == [0, 1, 1, 2, 2]
+    assert [subtree_end(nodes, i) for i in range(5)] == [5, 2, 5, 4, 5]
+    assert node_depths(variable(3)) == [0] and subtree_end(variable(3), 0) == 1
 
 
-def test_nodes_preorder_depths():
-    root = op("+", variable(0), op("*", variable(1), constant(1.0)))
-    nodes = _nodes_preorder(root)
-    assert [d for _, d in nodes] == [0, 1, 1, 2, 2]
+def test_self_crossover_splices_by_index():
+    # one object as both parents, with two equal subtrees under its root:
+    # a swap is read off preorder indices, never off equality
+    shared = op("-", variable(0), constant(2.0))
+    parent = MultiTree((Tree(op("+", shared, shared), 2),))
+    nodes = parent.trees[0].nodes
+    swaps = {}
+    for seed in range(200):
+        probe = np.random.default_rng(seed)
+        probe.random()  # the rate draw; p_c=1 always swaps
+        ia, ib = int(probe.integers(7)), int(probe.integers(7))
+        ca, cb = same_index_crossover(parent, parent, p_c=1.0,
+                                      rng=np.random.default_rng(seed))
+        ea, eb = subtree_end(nodes, ia), subtree_end(nodes, ib)
+        assert ca.trees[0].nodes == nodes[:ia] + nodes[ib:eb] + nodes[ea:]
+        assert cb.trees[0].nodes == nodes[:ib] + nodes[ia:ea] + nodes[eb:]
+        swaps[ia, ib] = (ca.trees[0].nodes, cb.trees[0].nodes)
+    assert nodes == op("+", shared, shared)
+    # the left subtree swapped with the variable inside the right one
+    assert swaps[1, 5] == (op("+", variable(0), shared),
+                           op("+", shared, op("-", shared, constant(2.0))))
 
 
 def test_crossover_swaps_only_same_index():
@@ -76,8 +90,8 @@ def test_crossover_swaps_only_same_index():
     b = MultiTree((Tree(variable(1), 2), Tree(variable(1), 2)))
     ca, cb = same_index_crossover(a, b, p_c=1.0, rng=rng)
     # single-node trees: the only possible swap exchanges whole trees
-    assert ca.trees[0].root == variable(1)
-    assert cb.trees[0].root == variable(0)
+    assert ca.trees[0].nodes == variable(1)
+    assert cb.trees[0].nodes == variable(0)
 
 
 def test_crossover_zero_rate_copies_parents():
