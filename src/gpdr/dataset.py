@@ -49,13 +49,12 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _is_numeric_column(values: list[str]) -> bool:
+def _parse_column(values: Sequence[str]) -> Optional[list[float]]:
+    """The column's cells as floats, or None if any cell is not a number."""
     try:
-        for v in values:
-            float(v)
+        return [float(v) for v in values]
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def load_csv(path, label_column=None, header: bool = True) -> Dataset:
@@ -100,17 +99,18 @@ def load_csv(path, label_column=None, header: bool = True) -> Dataset:
         if not 0 <= label_idx < width:
             raise IngestionError(f"{path}: label column {label_idx} out of range")
 
-    columns = [[r[j] for r in data_rows] for j in range(width)]
-    feat_idx = [
-        j for j in range(width)
-        if j != label_idx and _is_numeric_column(columns[j])
-    ]
+    columns = list(zip(*data_rows))
+    feat_idx, parsed = [], []
+    for j in range(width):
+        values = None if j == label_idx else _parse_column(columns[j])
+        if values is not None:
+            feat_idx.append(j)
+            parsed.append(values)
     if not feat_idx:
         raise IngestionError(f"{path}: no numeric feature columns")
 
-    features = np.array(
-        [[float(r[j]) for j in feat_idx] for r in data_rows], dtype=np.float64
-    )
+    # parsed is column-major; the copy of its transpose is C-contiguous
+    features = np.array(parsed, dtype=np.float64).T.copy()
     if not np.all(np.isfinite(features)):
         bad = np.argwhere(~np.isfinite(features))[0]
         raise IngestionError(

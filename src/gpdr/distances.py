@@ -4,13 +4,14 @@ Geodesic distances are shortest paths on a symmetrized k-nearest-neighbor
 graph with Euclidean edge weights. Disconnected graphs are repaired by
 adding the minimum-weight Euclidean edges joining components (a minimum
 spanning forest over the component graph), so every distance is finite.
+
+scipy is imported inside the graph functions, so it loads on the first
+geodesic objective or isomap call and never for the Euclidean methods.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 
 def pairwise_euclidean(X: np.ndarray) -> np.ndarray:
@@ -25,33 +26,37 @@ def pairwise_euclidean(X: np.ndarray) -> np.ndarray:
     return (d + d.T) / 2.0
 
 
-def knn_graph(X: np.ndarray, n_neighbors: int) -> csr_matrix:
+def knn_graph(X: np.ndarray, n_neighbors: int):
     """Symmetrized k-NN graph, edge weight = Euclidean distance.
 
     The returned sparse matrix is symmetric; absent edges are structural
     zeros (a stored zero only appears for exact-duplicate points, which
     dijkstra treats as a zero-weight edge, as intended).
     """
+    from scipy.sparse import csr_matrix
+
     d = pairwise_euclidean(X)
     n = d.shape[0]
     if n < n_neighbors + 1:
         raise ValueError(
             f"need at least n_neighbors+1={n_neighbors + 1} points, got {n}"
         )
-    # nearest neighbors excluding self
+    # nearest neighbors excluding self: each row of order holds i once
     order = np.argsort(d, axis=1, kind="stable")
-    rows, cols = [], []
-    for i in range(n):
-        picked = [j for j in order[i] if j != i][:n_neighbors]
-        rows.extend([i] * len(picked))
-        cols.extend(picked)
+    ids = np.arange(n)
+    others = order[order != ids[:, None]].reshape(n, n - 1)
+    cols = others[:, :n_neighbors].ravel()
+    rows = np.repeat(ids, n_neighbors)
     # floor keeps duplicate-point edges stored in the sparse structure
     w = np.maximum(d[rows, cols], 1e-300)
     g = csr_matrix((w, (rows, cols)), shape=(n, n))
     return g.maximum(g.T)
 
 
-def _repair_connectivity(g: csr_matrix, d: np.ndarray) -> csr_matrix:
+def _repair_connectivity(g, d: np.ndarray):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, labels = connected_components(g, directed=False)
     if n_comp == 1:
         return g
@@ -78,6 +83,8 @@ def _repair_connectivity(g: csr_matrix, d: np.ndarray) -> csr_matrix:
 
 def geodesic(X: np.ndarray, n_neighbors: int) -> np.ndarray:
     """All-pairs shortest-path distances on the symmetrized k-NN graph."""
+    from scipy.sparse.csgraph import dijkstra
+
     d = pairwise_euclidean(X)
     g = _repair_connectivity(knn_graph(X, n_neighbors), d)
     out = dijkstra(g, directed=False)

@@ -90,6 +90,12 @@ class ExperimentConfig:
         if not all(_is_count(k, 1) for k in self.k_list):
             raise ExperimentError(
                 f"k must be integers >= 1, got {list(self.k_list)!r}")
+        for name in ("methods", "k_list"):
+            value = list(getattr(self, name))
+            # each (method, k, run) job writes one record file
+            if len(set(value)) != len(value):
+                raise ExperimentError(
+                    f"{name} has repeated entries: {value!r}")
         for name, least in (("runs", 1), ("master_seed", 0),
                             ("batch_size", 1),
                             ("decoder_epochs", 1), ("teacher_epochs", 1),

@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,125 @@ def test_load_csv_errors(tmp_path):
         load_csv(_write(tmp_path, "a\nfoo\nbar\n", name="e4.csv"))
     with pytest.raises(IngestionError):
         load_csv(_write(tmp_path, "a,b\n1,nan\n3,4\n", name="e5.csv"))
+
+
+BUNDLED_CSV = Path(__file__).resolve().parents[1] / "data" / "segmentation.csv"
+
+
+def _two_pass_load_csv(path, label_column=None, header=True):
+    """``load_csv`` as it was when it parsed every cell twice: once to test
+    each column, once more to fill the matrix. Kept as the reference."""
+    with open(path, newline="") as f:
+        rows = [r for r in csv.reader(f) if r]
+    if not rows:
+        raise IngestionError(f"{path}: empty file")
+    names = rows[0] if header else [f"c{j}" for j in range(len(rows[0]))]
+    data_rows = rows[1:] if header else rows
+    if not data_rows:
+        raise IngestionError(f"{path}: no data rows")
+    width = len(names)
+    for i, r in enumerate(data_rows):
+        if len(r) != width:
+            raise IngestionError(
+                f"{path}: ragged row {i + (2 if header else 1)} "
+                f"({len(r)} cells, expected {width})"
+            )
+    label_idx = None
+    if label_column is not None:
+        if isinstance(label_column, int):
+            label_idx = label_column
+        else:
+            try:
+                label_idx = names.index(label_column)
+            except ValueError:
+                raise IngestionError(
+                    f"{path}: no column named {label_column!r}"
+                ) from None
+        if not 0 <= label_idx < width:
+            raise IngestionError(f"{path}: label column {label_idx} out of range")
+
+    def is_numeric(values):
+        try:
+            for v in values:
+                float(v)
+        except ValueError:
+            return False
+        return True
+
+    columns = [[r[j] for r in data_rows] for j in range(width)]
+    feat_idx = [j for j in range(width)
+                if j != label_idx and is_numeric(columns[j])]
+    if not feat_idx:
+        raise IngestionError(f"{path}: no numeric feature columns")
+    features = np.array(
+        [[float(r[j]) for j in feat_idx] for r in data_rows], dtype=np.float64
+    )
+    if not np.all(np.isfinite(features)):
+        bad = np.argwhere(~np.isfinite(features))[0]
+        raise IngestionError(
+            f"{path}: non-finite value at row {bad[0]}, column {feat_idx[bad[1]]}"
+        )
+    labels = None
+    class_count = 0
+    if label_idx is not None:
+        seen = {}
+        labels = np.array([seen.setdefault(v, len(seen))
+                           for v in columns[label_idx]], dtype=np.intp)
+        class_count = len(seen)
+    return Dataset(features=features, labels=labels,
+                   feature_names=[names[j] for j in feat_idx],
+                   class_count=class_count)
+
+
+def _assert_same_load(path, **kwargs):
+    try:
+        want = _two_pass_load_csv(path, **kwargs)
+    except IngestionError as e:
+        with pytest.raises(IngestionError) as got:
+            load_csv(path, **kwargs)
+        assert str(got.value) == str(e)
+        return
+    got = load_csv(path, **kwargs)
+    assert got.features.flags.c_contiguous
+    assert got.features.dtype == want.features.dtype
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert list(got.feature_names) == list(want.feature_names)
+    if want.labels is None:
+        assert got.labels is None
+    else:
+        assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.class_count == want.class_count
+
+
+def test_load_csv_matches_two_pass_parser_on_bundled_csv():
+    _assert_same_load(BUNDLED_CSV, label_column="target")
+    _assert_same_load(BUNDLED_CSV)
+
+
+@pytest.mark.parametrize("text, kwargs", [
+    ("a,b,label\n1,2,cat\n3,4,dog\n5,6,cat\n", {"label_column": "label"}),
+    # a text column is dropped, wherever it first fails to parse
+    ("a,junk,b,y\n1,foo,2,0\n3,bar,4,1\n", {"label_column": "y"}),
+    ("a,late,b,y\n1,2,2,0\n3,4,4,1\n5,x,6,0\n", {"label_column": "y"}),
+    ("a,b\n1,u\n2,v\n", {"label_column": 1}),
+    ("u,a,b\nq,1,2\nr,3,4\nq,5,6\n", {"label_column": 0}),
+    ("1.5,2,3\n4,5e3,-6\n", {"header": False}),
+    ("a,b\n1,nan\n3,4\n", {}),
+    ("a,b\n1,2\ninf,4\n", {}),
+    ("a,b,c\n1,2,3\n4,-inf,nan\n", {}),
+    # the first non-finite cell in row-major order is the one reported
+    ("a,b\n1,nan\ninf,4\n", {}),
+    ("a,b,c\n1,2,3\n4,5,6\n", {"label_column": 2}),
+    ("a,b\n1,2\n3\n", {}),
+    ("a,b\n1,2\n3,4,5\n", {}),
+    ("a,b\n1,2\n3,4\n", {"label_column": "nope"}),
+    ("a\nfoo\nbar\n", {}),
+    ("a,y\nfoo,0\nbar,1\n", {"label_column": "y"}),
+])
+def test_load_csv_matches_two_pass_parser(tmp_path, text, kwargs):
+    p = _write(tmp_path, text)
+    _assert_same_load(p, **kwargs)
 
 
 def test_dataset_validates_labels():

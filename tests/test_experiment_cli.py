@@ -100,6 +100,30 @@ def test_config_validation(toy_csv):
         (200, 30, 10, 100)
 
 
+def test_config_rejects_repeated_methods_and_k(toy_csv):
+    for name, value in (("methods", ["pca", "pca"]),
+                        ("methods", ["pca", "isomap", "pca"]),
+                        ("k_list", [2, 2]), ("k_list", [2, np.int64(2)])):
+        with pytest.raises(ExperimentError, match=f"{name} has repeated"):
+            ExperimentConfig(dataset_path=toy_csv, **{name: value})
+    ExperimentConfig(dataset_path=toy_csv, methods=["pca", "isomap"],
+                     k_list=[2, 3])
+
+
+def test_cli_run_rejects_repeated_methods_before_any_record(toy_csv,
+                                                            tmp_path):
+    out = tmp_path / "results"
+    r = CliRunner().invoke(main, [
+        "run", "--dataset", toy_csv, "--label-column", "label",
+        "--method", "pca", "--method", "pca", "--k", "2", "--k", "2",
+        "--runs", "1", "--output-dir", str(out),
+    ])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert "error:" in r.output and "repeated entries" in r.output
+    assert not out.exists() or not any(out.rglob("*.jsonl"))
+
+
 def test_config_from_yaml(toy_csv, tmp_path):
     y = tmp_path / "cfg.yaml"
     y.write_text(
