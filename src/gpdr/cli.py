@@ -20,6 +20,8 @@ from .experiment import (
     summarize,
 )
 
+LABEL_HELP = "The label column: a header name, or a 0-based column index."
+
 
 @click.group()
 def main():
@@ -39,7 +41,7 @@ def _build_config(config, overrides) -> ExperimentConfig:
 @click.option("--config", type=click.Path(exists=True), default=None,
               help="YAML config; flags below override its keys.")
 @click.option("--dataset", "dataset_path", type=click.Path(exists=True))
-@click.option("--label-column", default=None)
+@click.option("--label-column", default=None, help=LABEL_HELP)
 @click.option("--method", "methods", multiple=True,
               type=click.Choice(METHODS))
 @click.option("--k", "k_list", multiple=True, type=int)
@@ -107,7 +109,7 @@ def export_expr(results_dir, method, k, criterion):
 
 @main.command("validate-data")
 @click.argument("path", type=click.Path())
-@click.option("--label-column", default=None)
+@click.option("--label-column", default=None, help=LABEL_HELP)
 def validate_data(path, label_column):
     """Ingestion dry run: parse the CSV and report its shape."""
     try:

@@ -5,6 +5,7 @@ and the PCA-space target used by every fitness objective.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -57,13 +58,14 @@ def _parse_column(values: Sequence[str]) -> Optional[list[float]]:
         return None
 
 
-def load_csv(path, label_column=None, header: bool = True) -> Dataset:
-    """Load a comma-separated dataset.
+def load_csv(path, label_column=None) -> Dataset:
+    """Load a comma-separated dataset whose first row names the columns.
 
     Non-numeric columns other than the label column are dropped (only
     continuous attributes are kept). Labels are factorized to 0..c-1 in
     order of first appearance. ``label_column`` may be a header name or a
-    column index.
+    0-based column index, given as an int or as a string of decimal digits
+    that names no column.
     """
     try:
         with open(path, newline="") as f:
@@ -73,29 +75,26 @@ def load_csv(path, label_column=None, header: bool = True) -> Dataset:
     if not rows:
         raise IngestionError(f"{path}: empty file")
 
-    names = rows[0] if header else [f"c{j}" for j in range(len(rows[0]))]
-    data_rows = rows[1:] if header else rows
+    names, data_rows = rows[0], rows[1:]
     if not data_rows:
         raise IngestionError(f"{path}: no data rows")
     width = len(names)
     for i, r in enumerate(data_rows):
         if len(r) != width:
             raise IngestionError(
-                f"{path}: ragged row {i + (2 if header else 1)} "
-                f"({len(r)} cells, expected {width})"
+                f"{path}: ragged row {i + 2} ({len(r)} cells, expected {width})"
             )
 
     label_idx = None
     if label_column is not None:
         if isinstance(label_column, int):
             label_idx = label_column
+        elif label_column in names:
+            label_idx = names.index(label_column)
+        elif re.fullmatch("[0-9]+", str(label_column)):
+            label_idx = int(label_column)
         else:
-            try:
-                label_idx = names.index(label_column)
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: no column named {label_column!r}"
-                ) from None
+            raise IngestionError(f"{path}: no column named {label_column!r}")
         if not 0 <= label_idx < width:
             raise IngestionError(f"{path}: label column {label_idx} out of range")
 

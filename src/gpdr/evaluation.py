@@ -8,14 +8,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .forest import balanced_accuracy, rf_fold_proba
-from .neural import TrainConfig, train_decoders
+from .neural import train_decoders
 
 SIGNIFICANCE_LEVELS = (0.1, 0.05, 0.01)
+# the fixed protocol: N_FOLDS folds, a forest of RF_TREES trees per fold
+N_FOLDS = 10
+RF_TREES = 100
 
 
 def mann_whitney_u(a, b) -> tuple[float, float]:
@@ -113,27 +116,26 @@ def evaluate(
     heldout_labels: np.ndarray,
     heldout_target: np.ndarray,
     seed: int,
-    n_folds: int = 10,
-    rf_trees: int = 100,
-    decoder_cfg: TrainConfig = None,
+    decoder_epochs: int,
 ) -> EvaluationResult:
     """Fig.-2 second stage on the held-out rows.
 
     ``latent`` are the held-out rows embedded by the fitted DR model;
     ``heldout_target`` are their PCA-space coordinates, the reconstruction
     target. Per fold: forest on 9/10 of the latent rows scored on the
-    remaining 1/10, and a decoder latent->target trained likewise. The
-    fold forests grow in lockstep and the fold decoders train as one stack.
+    remaining 1/10, and a decoder latent->target trained likewise for
+    ``decoder_epochs`` epochs. The fold forests grow in lockstep and the
+    fold decoders train as one stack.
     """
     labels = np.asarray(heldout_labels, dtype=np.intp)
     n = latent.shape[0]
 
     min_class = min(np.bincount(labels)[np.bincount(labels) > 0])
-    folds_used = n_folds
-    if min_class < n_folds:
+    folds_used = N_FOLDS
+    if min_class < N_FOLDS:
         folds_used = max(2, int(min_class))
         warnings.warn(
-            f"reducing folds from {n_folds} to {folds_used}: smallest class "
+            f"reducing folds from {N_FOLDS} to {folds_used}: smallest class "
             f"has {min_class} latent rows"
         )
     rng = np.random.default_rng(seed)
@@ -142,13 +144,13 @@ def evaluate(
     trains = [np.delete(np.arange(n), test_idx) for test_idx in folds]
     probas = rf_fold_proba(latent, labels, list(zip(trains, folds)),
                            [seed + 7919 * f for f in range(len(folds))],
-                           trees=rf_trees)
+                           trees=RF_TREES)
 
     decoders = train_decoders(
         [latent[train_idx] for train_idx in trains],
         [heldout_target[train_idx] for train_idx in trains],
-        [replace(decoder_cfg or TrainConfig(), seed=seed + 104729 * f)
-         for f in range(len(folds))],
+        decoder_epochs,
+        [seed + 104729 * f for f in range(len(folds))],
     )
 
     accs, errs = [], []

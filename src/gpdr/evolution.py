@@ -21,9 +21,7 @@ from .fitness import (
     score_output,
 )
 from .gp_core import (
-    MAX_DEPTH,
     AutoencoderMultiTree,
-    depth,
     export_lines,
     ramped_autoencoders,
     ramped_half_and_half,
@@ -86,29 +84,11 @@ class RunResult:
     expressions: list[str]
 
 
-def _audit(pop, fitnesses, expected_size: int):
-    """Debug-mode invariants: size, depth bound, finite-or-sentinel fitness."""
-    assert len(pop) == expected_size, "population size changed"
-    for g in pop:
-        trees = (
-            g.encoder.trees + g.decoder.trees
-            if isinstance(g, AutoencoderMultiTree)
-            else g.trees
-        )
-        assert max(depth(t) for t in trees) <= MAX_DEPTH, "depth bound violated"
-    for f in fitnesses:
-        assert not np.isnan(f), "NaN fitness stored"
-
-
-def evolve(
-    spec: FitnessSpec,
-    cfg: GpRunConfig,
-    audit_hook=None,
-    debug_audit: bool = False,
-) -> RunResult:
+def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
     """Run ``cfg.generations`` of score-all -> next_generation on fresh
     mini-batches; the winner is the best full-split fitness over the final
     population plus the archive of per-generation batch-best genomes.
+    ``audit_hook(gen, pop, fits)``, if given, sees every scored generation.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -139,8 +119,6 @@ def evolve(
         best_idx = int(np.argmin(fits))
         history.append(fits[best_idx])
         archive.append(pop[best_idx])
-        if debug_audit:
-            _audit(pop, fits, cfg.population)
         if audit_hook is not None:
             audit_hook(gen, pop, fits)
         pop = next_generation(pop, fits, rng)
@@ -156,15 +134,13 @@ def evolve(
         # split, so evaluating them reproduces the full-split fitness
         recon = genome_output(winner, spec, spec.inputs)
         fit = linear_scaling(spec.target, recon)
-        expressions = export_lines(winner.encoder, constant_precision=None)
+        expressions = export_lines(winner.encoder)
         expressions += [
             line.replace("X~", "Xrec~", 1)
-            for line in export_lines(
-                winner.decoder, constant_precision=None, scaling=(fit.a, fit.b)
-            )
+            for line in export_lines(winner.decoder, scaling=(fit.a, fit.b))
         ]
     else:
-        expressions = export_lines(winner, constant_precision=None)
+        expressions = export_lines(winner)
 
     return RunResult(
         best_genome=winner,

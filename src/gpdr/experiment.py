@@ -18,7 +18,7 @@ from .evaluation import evaluate, mann_whitney_u, significance_stars
 from .evolution import GpRunConfig, RunResult, evolve
 from .fitness import FitnessSpec
 from .gp_core import encode
-from .neural import TrainConfig, latent as mlp_latent, train_autoencoder
+from .neural import latent as mlp_latent, train_autoencoder
 
 RECORD_FORMAT = "gpdr-run-record"
 RECORD_VERSION = 1
@@ -188,10 +188,8 @@ def run_single(
         objective, metric = _GP_OBJECTIVE[method]
         teacher_latent = None
         if objective == "teacher":
-            teacher = train_autoencoder(
-                target.transformed, k,
-                TrainConfig(epochs=cfg.teacher_epochs, seed=seed),
-            )
+            teacher = train_autoencoder(target.transformed, k,
+                                        cfg.teacher_epochs, seed)
             teacher_latent = mlp_latent(teacher, target.transformed)
         spec = FitnessSpec(
             objective=objective,
@@ -216,10 +214,8 @@ def run_single(
             genome = genome.encoder
         latent = encode(genome, held_X)
 
-    ev = evaluate(
-        latent, held_labels, held_target, seed=seed,
-        decoder_cfg=TrainConfig(epochs=cfg.decoder_epochs, seed=seed),
-    )
+    ev = evaluate(latent, held_labels, held_target, seed=seed,
+                  decoder_epochs=cfg.decoder_epochs)
 
     return {
         "method": method,
@@ -335,9 +331,12 @@ METRICS = {
     "balanced_accuracy": "maximize",
     "reconstruction_error": "minimize",
 }
+# a method whose U-test p-value against the best is at least this is
+# marked [best] too: not significantly different
+TIE_ALPHA = 0.1
 
 
-def summarize(store: ResultStore, alpha: float = 0.1) -> str:
+def summarize(store: ResultStore) -> str:
     """Per metric and k: mean +/- std per method, significance stars from
     the U test against the best method, bold markers on the best and on
     methods not significantly different from it."""
@@ -380,7 +379,7 @@ def summarize(store: ResultStore, alpha: float = 0.1) -> str:
                 else:
                     _, p = mann_whitney_u(samples[best], samples[m])
                 stars = "" if m == best else significance_stars(p)
-                bold = "[best]" if (m == best or p >= alpha) else ""
+                bold = "[best]" if (m == best or p >= TIE_ALPHA) else ""
                 note = f" ({skipped[m]} failed runs excluded)" if m in skipped else ""
                 lines.append(
                     f"  {m:<20} {means[m]:.2f} +/- {stds[m]:.2f} "

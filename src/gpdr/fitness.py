@@ -64,48 +64,12 @@ def sammon_stress(D: np.ndarray, D_tilde: np.ndarray) -> float:
     return SammonTarget(D).stress(D_tilde)
 
 
-def _pair_indices(m: int):
-    return np.triu_indices(m, 1)
-
-
-def kendall_tau_row(d_row, dt_row) -> float:
-    """Kendall tau-a over all unordered pairs of one distance row.
-
-    Ties count as neither concordant nor discordant; the denominator is the
-    full pair count N(N-1)/2.
-    """
-    d = np.asarray(d_row, dtype=np.float64)
-    dt = np.asarray(dt_row, dtype=np.float64)
-    if d.shape != dt.shape or d.ndim != 1 or d.size < 2:
-        raise FitnessError("rows must be equal-length vectors of size >= 2")
-    j, l = _pair_indices(d.size)
-    s = np.sign(d[j] - d[l]) * np.sign(dt[j] - dt[l])
-    return float(s.sum() / j.size)
-
-
 def _rank_weights(R: np.ndarray) -> np.ndarray:
     """Hyperbolic weight 1 / (r + 1) of each entry of each row of R, where
     r is its ascending rank in the row: 0 is the shortest distance, and
     ties are ranked by position."""
     ranks = np.argsort(np.argsort(R, axis=1, kind="stable"), axis=1)
     return 1.0 / (ranks + 1.0)
-
-
-def weighted_kendall_tau_row(d_row, dt_row) -> float:
-    """Weighted tau: pair (j,l) carries weight w_j + w_l, the hyperbolic
-    weights of their ranks in the original-distance row. Result is the
-    weighted concordant minus discordant mass over the total pair weight,
-    in [-1, 1].
-    """
-    d = np.asarray(d_row, dtype=np.float64)
-    dt = np.asarray(dt_row, dtype=np.float64)
-    if d.shape != dt.shape or d.ndim != 1 or d.size < 2:
-        raise FitnessError("rows must be equal-length vectors of size >= 2")
-    w = _rank_weights(d[None])[0]
-    j, l = _pair_indices(d.size)
-    pair_w = w[j] + w[l]
-    s = np.sign(d[j] - d[l]) * np.sign(dt[j] - dt[l])
-    return float(np.sum(pair_w * s) / np.sum(pair_w))
 
 
 def _strip_diagonal(D: np.ndarray) -> np.ndarray:
@@ -123,7 +87,7 @@ class RankTargetCache:
     def __init__(self, D: np.ndarray):
         R = _strip_diagonal(np.asarray(D, dtype=np.float64))
         m = R.shape[1]
-        self.j, self.l = _pair_indices(m)
+        self.j, self.l = np.triu_indices(m, 1)
         self.sign_d = np.sign(R[:, self.j] - R[:, self.l])
         w = _rank_weights(R)
         self.pair_w = w[:, self.j] + w[:, self.l]

@@ -279,21 +279,15 @@ def simplify(t: Tree) -> Tree:
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
 
 
-def _fmt_const(v: float, precision: Optional[int]) -> str:
-    if precision is None:
-        return repr(v)
-    return f"{v:.{precision}f}"
-
-
-def _to_infix(nodes: tuple, names, precision) -> tuple[str, int]:
+def _to_infix(nodes: tuple) -> tuple[str, int]:
     """Returns (text, precedence-of-the-root)."""
 
     def leaf(symbol, value):
         if symbol == "var":
-            return names[value], 99
+            return f"x{value}", 99
         if value < 0:
-            return f"({_fmt_const(value, precision)})", 99
-        return _fmt_const(value, precision), 99
+            return f"({value!r})", 99
+        return repr(value), 99
 
     def combine(name, left, right):
         prec = _PRECEDENCE[name]
@@ -313,21 +307,11 @@ def _to_infix(nodes: tuple, names, precision) -> tuple[str, int]:
     return _reduce(nodes, leaf, combine)
 
 
-def to_infix(
-    t: Tree,
-    feature_names: Optional[Sequence[str]] = None,
-    constant_precision: Optional[int] = 3,
-) -> str:
-    """Parenthesized ASCII infix of the simplified tree.
-
-    ``constant_precision=None`` prints constants at full (round-trip)
-    precision; the default of 3 decimals matches the human-facing export.
-    """
-    if feature_names is None:
-        feature_names = [f"x{j}" for j in range(t.input_arity)]
-    s = simplify(t)
-    text, _ = _to_infix(s.nodes, feature_names, constant_precision)
-    return text
+def to_infix(t: Tree) -> str:
+    """Parenthesized ASCII infix of the simplified tree. Input column j
+    prints as ``xj``, and a constant at full (round-trip) precision, as
+    ``repr`` prints it."""
+    return _to_infix(simplify(t).nodes)[0]
 
 
 _TOKEN = re.compile(
@@ -341,19 +325,13 @@ class ParseError(ValueError):
     pass
 
 
-def parse_infix(
-    text: str,
-    input_arity: int,
-    feature_names: Optional[Sequence[str]] = None,
-) -> Tree:
+def parse_infix(text: str, input_arity: int) -> Tree:
     """Parse the output of :func:`to_infix` back into a tree.
 
     Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := ['-'] (number | name | '(' expr ')').
     """
-    if feature_names is None:
-        feature_names = [f"x{j}" for j in range(input_arity)]
-    name_to_idx = {n: j for j, n in enumerate(feature_names)}
+    name_to_idx = {f"x{j}": j for j in range(input_arity)}
 
     tokens = []
     pos = 0
@@ -429,8 +407,6 @@ def parse_infix(
 
 def export_lines(
     mt: MultiTree,
-    feature_names: Optional[Sequence[str]] = None,
-    constant_precision: Optional[int] = 3,
     scaling: Optional[tuple[Sequence[float], Sequence[float]]] = None,
 ) -> list[str]:
     """One ``X~<j> = <infix>`` line per latent dimension.
@@ -441,12 +417,9 @@ def export_lines(
     """
     lines = []
     for j, t in enumerate(mt.trees):
-        text = to_infix(t, feature_names, constant_precision)
+        text = to_infix(t)
         if scaling is not None:
-            a, b = (
-                _to_infix(constant(v[j]), (), constant_precision)[0]
-                for v in scaling
-            )
+            a, b = (_to_infix(constant(v[j]))[0] for v in scaling)
             text = f"{a} + {b} * ({text})"
         lines.append(f"X~{j} = {text}")
     return lines

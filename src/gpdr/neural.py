@@ -2,8 +2,10 @@
 
 Two roles: the autoencoder whose bottleneck supplies the teacher latent,
 and the standalone decoders used as the reconstruction-error evaluation
-model. Training is plain SGD with momentum, fully deterministic under the
-config seed.
+model. Training is plain SGD with momentum, fully deterministic under each
+network's seed. Every network trains with the same fixed settings:
+mini-batches of ``BATCH_SIZE`` rows, learning rate ``LEARNING_RATE``
+(halved once on divergence) and momentum ``MOMENTUM``.
 
 Networks of one shape train as one stack: layer i of F networks is an
 (F, fan_in, fan_out) array and every product is a stacked ``@``. numpy's
@@ -17,27 +19,18 @@ the stack of one; a network that steps alone does so on its 2-D slices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+BATCH_SIZE = 32
+LEARNING_RATE = 0.01
+MOMENTUM = 0.9
+
 
 class TrainingError(RuntimeError):
     pass
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 500
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    seed: int = 0
-    momentum: float = 0.9
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValueError("TrainConfig values must be positive")
 
 
 @dataclass
@@ -182,7 +175,7 @@ def _epoch_plan(ns: np.ndarray, batch_size: int, X, Y):
     return steps, full
 
 
-def _train_stack(sizes, activations, Xs, Ys, seeds, cfg: TrainConfig,
+def _train_stack(sizes, activations, Xs, Ys, epochs: int, seeds,
                  lr: float) -> list:
     """SGD with momentum for one network per (X, Y, seed), as one stack.
 
@@ -205,14 +198,14 @@ def _train_stack(sizes, activations, Xs, Ys, seeds, cfg: TrainConfig,
     Y = _padded([Ys[f] for f in ids], ns[-1])
     order = np.zeros((ids.size, ns[-1]), dtype=np.intp)
     loss = np.full(ids.size, math.inf)
-    steps, full = _epoch_plan(ns, cfg.batch_size, X, Y)
-    for _ in range(cfg.epochs):
+    steps, full = _epoch_plan(ns, BATCH_SIZE, X, Y)
+    for _ in range(epochs):
         for j, rng in enumerate(rngs):
             order[j, :ns[j]] = rng.permutation(int(ns[j]))
         for start, rows, sel, slots in steps:
             idx = order[sel, start:start + rows]
             _sgd_step(W, B, vel_w, vel_b, sel, activations,
-                      X[slots, idx], Y[slots, idx], lr, cfg.momentum)
+                      X[slots, idx], Y[slots, idx], lr)
         for sel, Xn, Yn in full:
             pred = _forward([w[sel] for w in W], [b[sel] for b in B],
                             activations, Xn)[-1]
@@ -226,14 +219,14 @@ def _train_stack(sizes, activations, Xs, Ys, seeds, cfg: TrainConfig,
             rngs = [rng for rng, k in zip(rngs, keep) if k]
             if not ids.size:
                 break
-            steps, full = _epoch_plan(ns, cfg.batch_size, X, Y)
+            steps, full = _epoch_plan(ns, BATCH_SIZE, X, Y)
     for j, f in enumerate(ids):
         nets[f] = ([w[j].copy() for w in W], [b[j, 0].copy() for b in B],
                    float(loss[j]))
     return nets
 
 
-def _sgd_step(W, B, vel_w, vel_b, sel, activations, Xb, Yb, lr, momentum):
+def _sgd_step(W, B, vel_w, vel_b, sel, activations, Xb, Yb, lr):
     """One momentum step of the networks in slots ``sel`` on their batches;
     the stacks are updated in place."""
     weights, biases = [w[sel] for w in W], [b[sel] for b in B]
@@ -242,25 +235,25 @@ def _sgd_step(W, B, vel_w, vel_b, sel, activations, Xb, Yb, lr, momentum):
     for params, vels, grads in ((weights, vel_w, gw), (biases, vel_b, gb)):
         for p, v, g in zip(params, vels, grads):
             v = v[sel]
-            v *= momentum
+            v *= MOMENTUM
             v -= lr * g
             p += v
 
 
-def _fit(sizes, activations, bottleneck_index, Xs, Ys,
-         cfgs: list[TrainConfig]) -> list[Mlp]:
-    """One trained network per (X, Y, cfg); the networks that diverge are
-    retrained once from scratch at half the learning rate, as one stack."""
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ValueError("the networks' configs may differ only in seed")
+def _fit(sizes, activations, bottleneck_index, Xs, Ys, epochs: int,
+         seeds) -> list[Mlp]:
+    """One network per (X, Y, seed), trained for ``epochs`` epochs; the
+    networks that diverge are retrained once from scratch at half the
+    learning rate, as one stack."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     nets = [None] * len(Xs)
     todo = list(range(len(Xs)))
-    lr = cfg.learning_rate
+    lr = LEARNING_RATE
     for _ in range(2):
         trained = _train_stack(
             sizes, activations, [Xs[f] for f in todo], [Ys[f] for f in todo],
-            [cfgs[f].seed for f in todo], cfg, lr,
+            epochs, [seeds[f] for f in todo], lr,
         )
         for f, net in zip(todo, trained):
             if net is not None:
@@ -277,7 +270,7 @@ def hidden_width(k: int, p_out: int) -> int:
     return max(2 * k, math.ceil(p_out / 2))
 
 
-def train_autoencoder(X: np.ndarray, k: int, cfg: TrainConfig) -> Mlp:
+def train_autoencoder(X: np.ndarray, k: int, epochs: int, seed: int) -> Mlp:
     """Encoder-decoder p' -> h -> k -> h -> p' minimizing reconstruction MSE.
 
     Hidden layers are tanh; the bottleneck and the output are linear.
@@ -291,20 +284,20 @@ def train_autoencoder(X: np.ndarray, k: int, cfg: TrainConfig) -> Mlp:
         [p, h, k, h, p],
         ["tanh", "linear", "tanh", "linear"],
         bottleneck_index=1,
-        Xs=[X], Ys=[X], cfgs=[cfg],
+        Xs=[X], Ys=[X], epochs=epochs, seeds=[seed],
     )[0]
 
 
-def train_decoders(latents, targets, cfgs) -> list[Mlp]:
-    """Decoders k -> h -> p', one per (latent, target, cfg), each minimizing
-    MSE against its target features. They train as one stack; decoder f
-    is bit for bit the decoder trained alone, ``train_decoders([latents[f]],
-    [targets[f]], [cfgs[f]])[0]``.
+def train_decoders(latents, targets, epochs: int, seeds) -> list[Mlp]:
+    """Decoders k -> h -> p', one per (latent, target, seed), each
+    minimizing MSE against its target features. They train as one stack;
+    decoder f is bit for bit the decoder trained alone,
+    ``train_decoders([latents[f]], [targets[f]], epochs, [seeds[f]])[0]``.
     """
     Ls = [np.asarray(L, dtype=np.float64) for L in latents]
     Ys = [np.asarray(Y, dtype=np.float64) for Y in targets]
-    if not len(Ls) == len(Ys) == len(cfgs) or not Ls:
-        raise ValueError("need as many latents, targets and configs, "
+    if not len(Ls) == len(Ys) == len(seeds) or not Ls:
+        raise ValueError("need as many latents, targets and seeds, "
                          "at least one")
     if any(L.shape[0] != Y.shape[0] for L, Y in zip(Ls, Ys)):
         raise ValueError("latent and target row counts differ")
@@ -315,5 +308,5 @@ def train_decoders(latents, targets, cfgs) -> list[Mlp]:
         [k, hidden_width(k, p), p],
         ["tanh", "linear"],
         bottleneck_index=None,
-        Xs=Ls, Ys=Ys, cfgs=list(cfgs),
+        Xs=Ls, Ys=Ys, epochs=epochs, seeds=list(seeds),
     )

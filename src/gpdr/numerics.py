@@ -10,6 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# largest |m - m.T| entry sym_eigen accepts, relative to max(1, max |m|)
+SYMMETRY_TOL = 1e-10
+
 
 class NumericsError(ValueError):
     """Rejected input or failed numeric contract."""
@@ -33,7 +36,7 @@ class SymmetricEigen:
     eigenvectors: np.ndarray  # shape (n, n), columns are eigenvectors
 
 
-def sym_eigen(m, symmetry_tol: float = 1e-10) -> SymmetricEigen:
+def sym_eigen(m) -> SymmetricEigen:
     """Eigendecomposition of a symmetric matrix.
 
     Eigenvalues come out in descending order and each eigenvector's
@@ -45,7 +48,7 @@ def sym_eigen(m, symmetry_tol: float = 1e-10) -> SymmetricEigen:
     if n != nc:
         raise NumericsError(f"matrix must be square, got {m.shape}")
     scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > symmetry_tol * scale:
+    if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
         raise NumericsError("matrix is not symmetric within tolerance")
 
     w, v = np.linalg.eigh((m + m.T) / 2.0)

@@ -24,8 +24,8 @@ from gpdr.distances import geodesic, pairwise_euclidean
 from gpdr.evaluation import mann_whitney_u
 from gpdr.evolution import GpRunConfig, evolve
 from gpdr.experiment import ExperimentConfig, run_experiment
-from gpdr.fitness import FitnessSpec, kendall_tau_row, sammon_stress, \
-    weighted_kendall_tau_row
+from gpdr.fitness import FitnessSpec, RankSweep, RankTargetCache, \
+    sammon_stress
 from gpdr.gp_core import MultiTree, Tree, depth, encode, op, variable
 from gpdr.neural import _init_mlp, grad_check
 from gpdr.variation import MAX_DEPTH
@@ -67,15 +67,6 @@ def _desk_config(methods, k, out_dir, runs=10) -> ExperimentConfig:
 # -- criterion 1: rank-correlation oracle equivalence -----------------------
 
 
-def _tau_oracle(d, t):
-    n = d.size
-    s = 0.0
-    for j in range(n):
-        for l in range(j + 1, n):
-            s += np.sign(d[j] - d[l]) * np.sign(t[j] - t[l])
-    return s / (n * (n - 1) / 2.0)
-
-
 def _weighted_tau_oracle(d, t):
     n = d.size
     ranks = np.empty(n)
@@ -91,18 +82,27 @@ def _weighted_tau_oracle(d, t):
 
 
 def test_criterion_1_rank_correlation_oracles():
+    """The kernels that score records, against the loop oracle: the
+    sweep's tau of every row, and the pair cache's mean over the rows, of
+    distance matrices whose rows hold 3 to 50 distances."""
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(3, 51))
-        d, t = rng.normal(size=n), rng.normal(size=n)
-        worst = max(worst, abs(kendall_tau_row(d, t) - _tau_oracle(d, t)))
-        worst = max(worst, abs(weighted_kendall_tau_row(d, t)
-                               - _weighted_tau_oracle(d, t)))
+    rows = 0
+    # one matrix per row length m = 3, 7, ..., 47 and 50
+    for m in (*range(3, 50, 4), 50):
+        D = pairwise_euclidean(rng.normal(size=(m + 1, 4)))
+        Dt = pairwise_euclidean(rng.normal(size=(m + 1, 2)))
+        off = ~np.eye(m + 1, dtype=bool)
+        d, t = D[off].reshape(m + 1, m), Dt[off].reshape(m + 1, m)
+        want = np.array([_weighted_tau_oracle(a, b) for a, b in zip(d, t)])
+        got = RankSweep(D).tau_per_row(Dt)
+        worst = max(worst, float(np.abs(got - want).max()),
+                    abs(RankTargetCache(D).mean_tau(Dt) - want.mean()))
+        rows += m + 1
     elapsed = time.perf_counter() - t0
     _report(1, worst < 1e-12 and elapsed < 5.0,
-            f"max deviation {worst:.2e} over 200 pairs, {elapsed:.1f}s")
+            f"max deviation {worst:.2e} over {rows} rows, {elapsed:.1f}s")
 
 
 # -- criterion 2: Sammon stress closed forms ---------------------------------
@@ -308,7 +308,7 @@ def test_criterion_9_invariant_audit():
 
     cfg = GpRunConfig(population=200, generations=30, k=3, batch_size=100,
                       seed=1)
-    evolve(spec, cfg, audit_hook=audit_hook, debug_audit=True)
+    evolve(spec, cfg, audit_hook=audit_hook)
     _report(9, not violations,
             "no violations over 30 generations x 200 genomes"
             if not violations else "; ".join(violations[:3]))

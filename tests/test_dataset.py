@@ -45,6 +45,22 @@ def test_load_csv_label_by_index(tmp_path):
     assert d.p == 1 and d.class_count == 2
 
 
+def test_load_csv_label_index_given_as_digits(tmp_path):
+    p = _write(tmp_path, "a,b,c\n1,2,x\n3,4,y\n5,6,x\n")
+    d = load_csv(p, label_column="2")
+    assert list(d.feature_names) == ["a", "b"] and d.class_count == 2
+    assert d.labels.tolist() == load_csv(p, label_column=2).labels.tolist()
+    # a column named by digits resolves by name first
+    p = _write(tmp_path, "a,0,b\n1,u,7\n2,v,8\n3,w,9\n", name="n.csv")
+    d = load_csv(p, label_column="0")
+    assert list(d.feature_names) == ["a", "b"] and d.class_count == 3
+    with pytest.raises(IngestionError, match="out of range"):
+        load_csv(p, label_column="3")
+    for bad in ("-1", "1.0", " 1", "\u0661"):
+        with pytest.raises(IngestionError, match="no column named"):
+            load_csv(p, label_column=bad)
+
+
 def test_load_csv_errors(tmp_path):
     with pytest.raises(IngestionError):
         load_csv(tmp_path / "missing.csv")
@@ -64,23 +80,21 @@ def test_load_csv_errors(tmp_path):
 BUNDLED_CSV = Path(__file__).resolve().parents[1] / "data" / "segmentation.csv"
 
 
-def _two_pass_load_csv(path, label_column=None, header=True):
+def _two_pass_load_csv(path, label_column=None):
     """``load_csv`` as it was when it parsed every cell twice: once to test
     each column, once more to fill the matrix. Kept as the reference."""
     with open(path, newline="") as f:
         rows = [r for r in csv.reader(f) if r]
     if not rows:
         raise IngestionError(f"{path}: empty file")
-    names = rows[0] if header else [f"c{j}" for j in range(len(rows[0]))]
-    data_rows = rows[1:] if header else rows
+    names, data_rows = rows[0], rows[1:]
     if not data_rows:
         raise IngestionError(f"{path}: no data rows")
     width = len(names)
     for i, r in enumerate(data_rows):
         if len(r) != width:
             raise IngestionError(
-                f"{path}: ragged row {i + (2 if header else 1)} "
-                f"({len(r)} cells, expected {width})"
+                f"{path}: ragged row {i + 2} ({len(r)} cells, expected {width})"
             )
     label_idx = None
     if label_column is not None:
@@ -162,7 +176,8 @@ def test_load_csv_matches_two_pass_parser_on_bundled_csv():
     ("a,late,b,y\n1,2,2,0\n3,4,4,1\n5,x,6,0\n", {"label_column": "y"}),
     ("a,b\n1,u\n2,v\n", {"label_column": 1}),
     ("u,a,b\nq,1,2\nr,3,4\nq,5,6\n", {"label_column": 0}),
-    ("1.5,2,3\n4,5e3,-6\n", {"header": False}),
+    # a header row is required: a numeric first row names the columns
+    ("1.5,2,3\n4,5e3,-6\n", {}),
     ("a,b\n1,nan\n3,4\n", {}),
     ("a,b\n1,2\ninf,4\n", {}),
     ("a,b,c\n1,2,3\n4,-inf,nan\n", {}),

@@ -1,8 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from gpdr import evaluation
 from gpdr.baselines import pca_fit
 from gpdr.evaluation import (
     _exact_two_sided_p,
@@ -12,7 +11,6 @@ from gpdr.evaluation import (
     significance_stars,
 )
 from gpdr.forest import balanced_accuracy
-from gpdr.neural import TrainConfig
 
 
 def test_mann_whitney_separated_samples():
@@ -100,8 +98,7 @@ def _toy_problem(seed=3, n=120):
 def test_evaluate_end_to_end():
     X, labels, target = _toy_problem()
     latent = pca_fit(X, 2).transform(X)
-    res = evaluate(latent, labels, target, seed=0,
-                   decoder_cfg=TrainConfig(epochs=30, seed=0))
+    res = evaluate(latent, labels, target, seed=0, decoder_epochs=30)
     assert len(res.fold_accuracies) == 10
     assert len(res.fold_errors) == 10
     assert np.isclose(res.balanced_accuracy, np.mean(res.fold_accuracies))
@@ -114,9 +111,8 @@ def test_evaluate_end_to_end():
 def test_evaluate_is_deterministic():
     X, labels, target = _toy_problem(seed=4)
     latent = pca_fit(X, 2).transform(X)
-    cfg = TrainConfig(epochs=10, seed=0)
-    a = evaluate(latent, labels, target, seed=5, decoder_cfg=cfg)
-    b = evaluate(latent, labels, target, seed=5, decoder_cfg=cfg)
+    a = evaluate(latent, labels, target, seed=5, decoder_epochs=10)
+    b = evaluate(latent, labels, target, seed=5, decoder_epochs=10)
     assert a.fold_accuracies == b.fold_accuracies
     assert a.fold_errors == b.fold_errors
 
@@ -128,8 +124,7 @@ def test_evaluate_reduces_folds_for_rare_classes():
     labels[:4] = 1  # only four rows of class 1
     latent = pca_fit(X, 2).transform(X)
     with pytest.warns(UserWarning, match="reducing folds"):
-        res = evaluate(latent, labels, target, seed=0,
-                       decoder_cfg=TrainConfig(epochs=5, seed=0))
+        res = evaluate(latent, labels, target, seed=0, decoder_epochs=5)
     assert len(res.fold_accuracies) == 4
 
 
@@ -148,7 +143,7 @@ def _oracle_fold_accuracies(latent, labels, seed, n_folds, rf_trees):
     return accs
 
 
-def _oracle_fold_errors(latent, labels, target, seed, n_folds, cfg):
+def _oracle_fold_errors(latent, labels, target, seed, n_folds, epochs):
     """Each fold's reconstruction error from the per-network oracle
     decoder, one fold after another, with evaluate's folds and seeds."""
     from test_neural import _oracle_forward_all, oracle_decoder
@@ -157,40 +152,38 @@ def _oracle_fold_errors(latent, labels, target, seed, n_folds, cfg):
     errs = []
     for f, test_idx in enumerate(folds):
         train = np.setdiff1d(np.arange(len(labels)), test_idx)
-        dec = oracle_decoder(latent[train], target[train],
-                             replace(cfg, seed=seed + 104729 * f))
+        dec = oracle_decoder(latent[train], target[train], epochs,
+                             seed + 104729 * f)
         recon = _oracle_forward_all(dec.weights, dec.biases, dec.activations,
                                     latent[test_idx])[-1]
         errs.append(float(np.mean((recon - target[test_idx]) ** 2)))
     return errs
 
 
-def test_evaluate_fold_accuracies_match_per_fold_oracle():
+def test_evaluate_fold_accuracies_match_per_fold_oracle(monkeypatch):
     X, labels, target = _toy_problem(seed=8)
     X[:, 0] += np.random.default_rng(8).normal(size=len(labels))  # overlap
     latent = pca_fit(X, 2).transform(X)
-    cfg = TrainConfig(epochs=4, seed=0)
-    res = evaluate(latent, labels, target, seed=3, rf_trees=12,
-                   decoder_cfg=cfg)
+    monkeypatch.setattr(evaluation, "RF_TREES", 12)
+    res = evaluate(latent, labels, target, seed=3, decoder_epochs=4)
     assert len(res.fold_accuracies) == 10
     assert res.fold_accuracies == _oracle_fold_accuracies(
         latent, labels, seed=3, n_folds=10, rf_trees=12)
     assert res.fold_errors == _oracle_fold_errors(
-        latent, labels, target, seed=3, n_folds=10, cfg=cfg)
+        latent, labels, target, seed=3, n_folds=10, epochs=4)
 
 
-def test_evaluate_reduced_folds_match_per_fold_oracle():
+def test_evaluate_reduced_folds_match_per_fold_oracle(monkeypatch):
     X, labels, target = _toy_problem(seed=6, n=60)
     labels = labels.copy()
     labels[:] = 0
     labels[:4] = 1
     latent = pca_fit(X, 2).transform(X)
-    cfg = TrainConfig(epochs=4, seed=0)
+    monkeypatch.setattr(evaluation, "RF_TREES", 12)
     with pytest.warns(UserWarning, match="reducing folds"):
-        res = evaluate(latent, labels, target, seed=0, rf_trees=12,
-                       decoder_cfg=cfg)
+        res = evaluate(latent, labels, target, seed=0, decoder_epochs=4)
     assert len(res.fold_accuracies) == 4
     assert res.fold_accuracies == _oracle_fold_accuracies(
         latent, labels, seed=0, n_folds=4, rf_trees=12)
     assert res.fold_errors == _oracle_fold_errors(
-        latent, labels, target, seed=0, n_folds=4, cfg=cfg)
+        latent, labels, target, seed=0, n_folds=4, epochs=4)

@@ -6,12 +6,7 @@ import pytest
 
 from gpdr.distances import pairwise_euclidean
 from gpdr.evolution import GpRunConfig, _full_split_fitness, evolve
-from gpdr.fitness import (
-    FitnessSpec,
-    linear_scaling,
-    sammon_stress,
-    weighted_kendall_tau_row,
-)
+from gpdr.fitness import FitnessSpec, linear_scaling, sammon_stress
 from gpdr.gp_core import (
     AutoencoderMultiTree,
     MultiTree,
@@ -25,6 +20,7 @@ from gpdr.gp_core import (
     variable,
 )
 from gpdr.variation import MAX_DEPTH
+from test_fitness import weighted_kendall_tau_row
 
 
 def _teacher_spec(rng, n=60, p=4, k=2):
@@ -91,20 +87,26 @@ def test_evolve_is_deterministic():
 
 def test_evolve_audit_invariants_hold():
     rng = np.random.default_rng(2)
-    spec = _teacher_spec(rng)
-    seen = []
+    teacher_spec = _teacher_spec(rng)
+    X = rng.normal(size=(60, 4))
+    amt_spec = FitnessSpec(objective="gp_autoencoder", inputs=X,
+                           target=X[:, :3])
+    for spec in (teacher_spec, amt_spec):
+        seen = []
 
-    def hook(gen, pop, fits):
-        seen.append(gen)
-        assert len(pop) == 50
-        for g in pop:
-            assert all(depth(t) <= MAX_DEPTH for t in g.trees)
-        assert not any(np.isnan(f) for f in fits)
+        def hook(gen, pop, fits):
+            seen.append(gen)
+            assert len(pop) == 50
+            for g in pop:
+                # an autoencoder's encoder and decoder trees keep the bound
+                trees = (g.encoder.trees + g.decoder.trees
+                         if isinstance(g, AutoencoderMultiTree) else g.trees)
+                assert all(depth(t) <= MAX_DEPTH for t in trees)
+            assert not any(np.isnan(f) for f in fits)
 
-    evolve(spec, GpRunConfig(population=50, generations=8, k=2,
-                             batch_size=30, seed=3),
-           audit_hook=hook, debug_audit=True)
-    assert seen == list(range(8))
+        evolve(spec, GpRunConfig(population=50, generations=8, k=2,
+                                 batch_size=30, seed=3), audit_hook=hook)
+        assert seen == list(range(8))
 
 
 def _full_split_oracle(spec, genome) -> float:

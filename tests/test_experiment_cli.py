@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from gpdr.experiment import (
 )
 from gpdr.dataset import load_csv
 from gpdr.gp_core import AutoencoderMultiTree, MultiTree, Tree, op, variable
+
+
+SEGMENTATION = Path(__file__).resolve().parents[1] / "data" / "segmentation.csv"
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +380,17 @@ def test_cli_validate_data(toy_csv):
     r = CliRunner().invoke(main, ["validate-data", "/nonexistent.csv"])
     assert r.exit_code == 1
     assert "error:" in r.output
+
+
+def test_cli_validate_data_takes_a_label_column_index():
+    csv = str(SEGMENTATION)
+    by_name = CliRunner().invoke(main, ["validate-data", csv,
+                                        "--label-column", "target"])
+    by_index = CliRunner().invoke(main, ["validate-data", csv,
+                                         "--label-column", "19"])
+    assert by_index.exit_code == 0, by_index.output
+    assert "classes=7" in by_index.output
+    assert by_index.output == by_name.output
 
 
 def test_cli_run_and_summarize(toy_csv, tmp_path):

@@ -9,14 +9,13 @@ from gpdr.fitness import (
     FitnessSpec,
     RankSweep,
     RankTargetCache,
+    _rank_weights,
     gp_autoencoder_fitness,
-    kendall_tau_row,
     linear_scaling,
     sammon_stress,
     score,
     score_output,
     teacher_fitness,
-    weighted_kendall_tau_row,
 )
 from gpdr.gp_core import (
     AutoencoderMultiTree,
@@ -28,14 +27,35 @@ from gpdr.gp_core import (
 )
 
 
-def _tau_oracle(d, dt):
-    """Exhaustive O(N^2) tau-a."""
-    n = len(d)
-    s = 0.0
-    for j in range(n):
-        for l in range(j + 1, n):
-            s += np.sign(d[j] - d[l]) * np.sign(dt[j] - dt[l])
-    return s / (n * (n - 1) / 2)
+def weighted_kendall_tau_row(d_row, dt_row) -> float:
+    """Weighted tau of one distance row, vectorized over its pairs: pair
+    (j,l) carries weight w_j + w_l, the hyperbolic weights of their ranks
+    in the original-distance row. The result is the weighted concordant
+    minus discordant mass over the total pair weight, in [-1, 1]. The
+    reference the rank kernels are checked against."""
+    d = np.asarray(d_row, dtype=np.float64)
+    dt = np.asarray(dt_row, dtype=np.float64)
+    w = _rank_weights(d[None])[0]
+    j, l = np.triu_indices(d.size, 1)
+    pair_w = w[j] + w[l]
+    s = np.sign(d[j] - d[l]) * np.sign(dt[j] - dt[l])
+    return float(np.sum(pair_w * s) / np.sum(pair_w))
+
+
+def _rows_as_matrix(rows):
+    """The n x n matrix whose row i, with its diagonal entry dropped, is
+    rows[i]: how the rank kernels read an arbitrary distance row."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    n = rows.shape[0]
+    D = np.zeros((n, n))
+    D[~np.eye(n, dtype=bool)] = rows.ravel()
+    return D
+
+
+def _kernel_taus(d_rows, dt_rows):
+    """Per-row tau from the sweep and the mean tau from the pair cache."""
+    D, Dt = _rows_as_matrix(d_rows), _rows_as_matrix(dt_rows)
+    return RankSweep(D).tau_per_row(Dt), RankTargetCache(D).mean_tau(Dt)
 
 
 def _weighted_tau_oracle(d, dt):
@@ -54,30 +74,44 @@ def _weighted_tau_oracle(d, dt):
 
 
 def test_kendall_tau_known_values():
-    assert kendall_tau_row([1, 2, 3, 4], [1, 2, 3, 4]) == 1.0
-    assert kendall_tau_row([1, 2, 3, 4], [4, 3, 2, 1]) == -1.0
-    # one swapped adjacent pair out of six: (6-2)/6
-    assert np.isclose(kendall_tau_row([1, 2, 3, 4], [2, 1, 3, 4]), 4 / 6)
-    # a tie contributes zero concordance but stays in the denominator
-    assert np.isclose(kendall_tau_row([1, 1, 2], [1, 2, 3]), 2 / 3)
+    for d, dt, want in (
+        # weights 1, 1/2, 1/3, 1/4 give a total pair weight of 6.25;
+        # swapping the first two latent distances turns pair (0, 1), of
+        # weight 1.5, discordant: (6.25 - 2 * 1.5) / 6.25
+        ([1, 2, 3, 4], [2, 1, 3, 4], 0.52),
+        # a target tie contributes zero concordance but keeps its weight
+        # in the denominator: weights 1, 1/2, 1/3 give (4/3 + 5/6) / (11/3)
+        ([1, 1, 2], [1, 2, 3], 13 / 22),
+    ):
+        # every row of the (m + 1) x (m + 1) matrix is the same row
+        n = len(d) + 1
+        rows, cache = _kernel_taus([d] * n, [dt] * n)
+        assert np.allclose(rows, want, atol=1e-12)
+        assert np.isclose(cache, want, atol=1e-12)
+        assert np.isclose(weighted_kendall_tau_row(d, dt), want, atol=1e-12)
 
 
 def test_weighted_tau_limits():
     d = [0.5, 1.5, 2.5, 3.5]
-    assert np.isclose(weighted_kendall_tau_row(d, d), 1.0)
-    assert np.isclose(weighted_kendall_tau_row(d, d[::-1]), -1.0)
+    for dt, want in ((d, 1.0), (d[::-1], -1.0)):
+        rows, cache = _kernel_taus([d] * 5, [dt] * 5)
+        assert np.allclose(rows, want, atol=1e-12)
+        assert np.isclose(cache, want, atol=1e-12)
+        assert np.isclose(weighted_kendall_tau_row(d, dt), want, atol=1e-12)
 
 
 def test_tau_matches_exhaustive_oracle():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        n = int(rng.integers(3, 30))
-        d = rng.normal(size=n)
-        dt = rng.normal(size=n)
-        assert np.isclose(kendall_tau_row(d, dt), _tau_oracle(d, dt),
-                          atol=1e-12)
-        assert np.isclose(weighted_kendall_tau_row(d, dt),
-                          _weighted_tau_oracle(d, dt), atol=1e-12)
+        m = int(rng.integers(3, 30))
+        d = rng.normal(size=(m + 1, m))
+        dt = rng.normal(size=(m + 1, m))
+        want = [_weighted_tau_oracle(a, b) for a, b in zip(d, dt)]
+        rows, cache = _kernel_taus(d, dt)
+        assert np.allclose(rows, want, atol=1e-12)
+        assert np.isclose(cache, np.mean(want), atol=1e-12)
+        assert np.allclose([weighted_kendall_tau_row(a, b)
+                            for a, b in zip(d, dt)], want, atol=1e-12)
 
 
 def test_sammon_closed_forms():

@@ -165,9 +165,10 @@ def test_to_infix_formatting():
     t = Tree(op("-", variable(0), op("-", variable(1), variable(2))), 3)
     assert to_infix(t) == "x0 - (x1 - x2)"
     t = Tree(op("+", constant(-1.5), variable(0)), 1)
-    assert to_infix(t) == "(-1.500) + x0"
-    t = Tree(op("+", variable(0), constant(0.25)), 1, )
-    assert to_infix(t, feature_names=["height"]) == "height + 0.250"
+    assert to_infix(t) == "(-1.5) + x0"
+    # constants print at full precision, as repr does
+    t = Tree(op("+", variable(0), constant(0.1 + 0.2)), 1)
+    assert to_infix(t) == "x0 + 0.30000000000000004"
 
 
 def test_infix_round_trip_random_trees():
@@ -175,7 +176,7 @@ def test_infix_round_trip_random_trees():
     X = rng.normal(size=(10, 4))
     for _ in range(60):
         t = Tree(grow_tree(4, 5, rng), 4)
-        text = to_infix(t, constant_precision=None)
+        text = to_infix(t)
         back = parse_infix(text, 4)
         assert np.allclose(eval_tree_rows(t, X), eval_tree_rows(back, X),
                            atol=1e-12)
@@ -199,20 +200,18 @@ def test_parse_infix_unary_minus_and_errors():
 def test_export_lines_format():
     mt = MultiTree((Tree(variable(0), 2), Tree(op("+", variable(1), constant(1.0)), 2)))
     lines = export_lines(mt)
-    assert lines == ["X~0 = x0", "X~1 = x1 + 1.000"]
+    assert lines == ["X~0 = x0", "X~1 = x1 + 1.0"]
 
 
 def test_export_lines_with_scaling_keep_the_tree_grouped():
     mt = MultiTree((Tree(op("*", variable(0), variable(1)), 2),
                     Tree(variable(1), 2)))
-    lines = export_lines(mt, scaling=([0.5, -1.0], [-2.0, 1e10]),
-                         constant_precision=None)
+    lines = export_lines(mt, scaling=([0.5, -1.0], [-2.0, 1e10]))
     assert lines == ["X~0 = 0.5 + (-2.0) * (x0 * x1)",
                      "X~1 = (-1.0) + 10000000000.0 * (x1)"]
     # b * (x0 * x1) stays below the clamp where (b * x0) * x1 would not
     wide = MultiTree((Tree(op("*", variable(0), variable(1)), 2),))
-    (line,) = export_lines(wide, scaling=([0.0], [1e10]),
-                           constant_precision=None)
+    (line,) = export_lines(wide, scaling=([0.0], [1e10]))
     X = np.array([[1e3, 1e-3]])
     got = eval_tree_rows(parse_infix(line.split(" = ", 1)[1], 2), X)
     assert got[0] == 1e10

@@ -1,13 +1,12 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gpdr import neural
 from gpdr.neural import (
     Mlp,
-    TrainConfig,
     TrainingError,
     _init_mlp,
     grad_check,
@@ -21,7 +20,9 @@ from gpdr.neural import (
 
 # The per-network trainer as it stood before networks trained as one stack,
 # kept as the byte-level reference: 2-D products, one network at a time,
-# and a one-time retry at half the learning rate on divergence.
+# and a one-time retry at half the learning rate on divergence. It reads
+# the batch size, learning rate and momentum from ``gpdr.neural`` when it
+# runs, so a test that patches them there sets them for both trainers.
 
 
 def _oracle_forward_all(weights, biases, activations, X):
@@ -56,19 +57,20 @@ def _oracle_mse(m, X, Y):
     return float(np.mean((pred - Y) ** 2))
 
 
-def _oracle_train(m, X, Y, cfg, lr, rng):
+def _oracle_train(m, X, Y, epochs, lr, rng):
+    batch, momentum = neural.BATCH_SIZE, neural.MOMENTUM
     vel_w = [np.zeros_like(w) for w in m.weights]
     vel_b = [np.zeros_like(b) for b in m.biases]
     n = X.shape[0]
     loss = math.inf
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
             gw, gb = _oracle_gradients(m, X[idx], Y[idx])
             for i in range(len(m.weights)):
-                vel_w[i] = cfg.momentum * vel_w[i] - lr * gw[i]
-                vel_b[i] = cfg.momentum * vel_b[i] - lr * gb[i]
+                vel_w[i] = momentum * vel_w[i] - lr * gw[i]
+                vel_b[i] = momentum * vel_b[i] - lr * gb[i]
                 m.weights[i] += vel_w[i]
                 m.biases[i] += vel_b[i]
         loss = _oracle_mse(m, X, Y)
@@ -77,13 +79,13 @@ def _oracle_train(m, X, Y, cfg, lr, rng):
     return loss
 
 
-def _oracle_fit(sizes, activations, X, Y, cfg, attempts=2):
+def _oracle_fit(sizes, activations, X, Y, epochs, seed, attempts=2):
     """The trained network, or None if every attempt diverged."""
-    lr = cfg.learning_rate
+    lr = neural.LEARNING_RATE
     for _ in range(attempts):
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         m = _init_mlp(sizes, activations, None, rng)
-        loss = _oracle_train(m, X, Y, cfg, lr, rng)
+        loss = _oracle_train(m, X, Y, epochs, lr, rng)
         if math.isfinite(loss):
             m.final_loss = loss
             return m
@@ -91,10 +93,10 @@ def _oracle_fit(sizes, activations, X, Y, cfg, attempts=2):
     return None
 
 
-def oracle_decoder(L, Y, cfg, attempts=2):
+def oracle_decoder(L, Y, epochs, seed, attempts=2):
     k, p = L.shape[1], Y.shape[1]
     return _oracle_fit([k, hidden_width(k, p), p], ["tanh", "linear"], L, Y,
-                       cfg, attempts)
+                       epochs, seed, attempts)
 
 
 def _assert_same_network(got, want):
@@ -115,23 +117,25 @@ def _fold_data(rows, k=3, p=12, seed=0, scale=1.0):
     return out
 
 
-def _check_stack_against_oracle(data, cfgs):
-    got = train_decoders([L for L, _ in data], [Y for _, Y in data], cfgs)
+def _check_stack_against_oracle(data, epochs, seeds):
+    got = train_decoders([L for L, _ in data], [Y for _, Y in data], epochs,
+                         seeds)
     assert len(got) == len(data)
-    for net, (L, Y), cfg in zip(got, data, cfgs):
-        _assert_same_network(net, oracle_decoder(L, Y, cfg))
+    for net, (L, Y), seed in zip(got, data, seeds):
+        _assert_same_network(net, oracle_decoder(L, Y, epochs, seed))
     return got
 
 
-def _seeded(cfg, n):
-    return [replace(cfg, seed=cfg.seed + 104729 * f) for f in range(n)]
+def _seeds(seed, n):
+    return [seed + 104729 * f for f in range(n)]
 
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+def test_training_rejects_nonpositive_epochs():
+    L, Y = np.zeros((10, 2)), np.zeros((10, 3))
+    with pytest.raises(ValueError, match="epochs"):
+        train_decoders([L], [Y], 0, [0])
+    with pytest.raises(ValueError, match="epochs"):
+        train_autoencoder(Y, 2, -1, 0)
 
 
 def test_hidden_width():
@@ -174,7 +178,7 @@ def test_autoencoder_learns_low_rank_data():
     Z = rng.normal(size=(80, 2))
     W = rng.normal(size=(2, 5))
     X = Z @ W
-    m = train_autoencoder(X, 2, TrainConfig(epochs=300, seed=0))
+    m = train_autoencoder(X, 2, 300, 0)
     base = float(np.mean((X - X.mean(axis=0)) ** 2))
     assert m.final_loss < 0.1 * base
     lat = latent(m, X)
@@ -184,9 +188,8 @@ def test_autoencoder_learns_low_rank_data():
 def test_autoencoder_is_deterministic():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(30, 4))
-    cfg = TrainConfig(epochs=20, seed=5)
-    a = train_autoencoder(X, 2, cfg)
-    b = train_autoencoder(X, 2, TrainConfig(epochs=20, seed=5))
+    a = train_autoencoder(X, 2, 20, 5)
+    b = train_autoencoder(X, 2, 20, 5)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
     assert a.final_loss == b.final_loss
@@ -195,20 +198,20 @@ def test_autoencoder_is_deterministic():
 def test_autoencoder_rejects_bad_k():
     X = np.zeros((10, 3))
     with pytest.raises(ValueError):
-        train_autoencoder(X, 3, TrainConfig())
+        train_autoencoder(X, 3, 500, 0)
     with pytest.raises(ValueError):
-        train_autoencoder(X, 0, TrainConfig())
+        train_autoencoder(X, 0, 500, 0)
 
 
 def test_decoder_fits_linear_map():
     rng = np.random.default_rng(6)
     L = rng.normal(size=(60, 2))
     Y = L @ rng.normal(size=(2, 3)) * 0.3
-    m = train_decoders([L], [Y], [TrainConfig(epochs=300, seed=0)])[0]
+    m = train_decoders([L], [Y], 300, [0])[0]
     base = float(np.mean((Y - Y.mean(axis=0)) ** 2))
     assert m.final_loss < 0.1 * base
     with pytest.raises(ValueError):
-        train_decoders([L], [Y[:10]], [TrainConfig()])
+        train_decoders([L], [Y[:10]], 500, [0])
 
 
 def test_latent_requires_bottleneck():
@@ -218,23 +221,21 @@ def test_latent_requires_bottleneck():
         latent(m, np.zeros((3, 2)))
 
 
-def test_divergence_retries_then_raises():
+def test_divergence_retries_then_raises(monkeypatch):
     rng = np.random.default_rng(8)
     X = rng.normal(size=(20, 3)) * 1e6
     # a learning rate this large overflows the weights to inf at lr and lr/2
+    monkeypatch.setattr(neural, "LEARNING_RATE", 1e200)
     with pytest.raises(TrainingError), np.errstate(over="ignore"):
-        train_decoders([X[:, :2]], [X],
-                       [TrainConfig(epochs=5, learning_rate=1e200)])
+        train_decoders([X[:, :2]], [X], 5, [0])
 
 
 def test_stacked_decoders_match_oracle_on_equal_folds():
     data = _fold_data([57] * 10, seed=1)
-    nets = _check_stack_against_oracle(
-        data, _seeded(TrainConfig(epochs=15, seed=3), 10))
+    nets = _check_stack_against_oracle(data, 15, _seeds(3, 10))
     probe = np.random.default_rng(2).normal(size=(7, 3))
-    for net, (L, Y), cfg in zip(nets, data,
-                                _seeded(TrainConfig(epochs=15, seed=3), 10)):
-        want = oracle_decoder(L, Y, cfg)
+    for net, (L, Y), seed in zip(nets, data, _seeds(3, 10)):
+        want = oracle_decoder(L, Y, 15, seed)
         assert net.forward(probe).tobytes() == _oracle_forward_all(
             want.weights, want.biases, want.activations, probe)[-1].tobytes()
 
@@ -242,73 +243,70 @@ def test_stacked_decoders_match_oracle_on_equal_folds():
 def test_stacked_decoders_match_oracle_when_last_batches_differ():
     # 1039 rows end each epoch on a 15-row batch, 1040 on a 16-row one
     data = _fold_data([1039, 1040, 1040, 1039], k=2, seed=4)
-    _check_stack_against_oracle(
-        data, _seeded(TrainConfig(epochs=2, seed=5), 4))
+    _check_stack_against_oracle(data, 2, _seeds(5, 4))
 
 
 def test_stacked_decoders_match_oracle_with_different_batch_counts():
     # 64 rows take two batches of 32, 65 rows a third batch of one row
     data = _fold_data([65, 64, 65, 33, 1], k=2, p=5, seed=6)
-    _check_stack_against_oracle(
-        data, _seeded(TrainConfig(epochs=6, seed=7), 5))
+    _check_stack_against_oracle(data, 6, _seeds(7, 5))
 
 
-def test_stacked_decoders_match_oracle_on_a_one_wide_latent():
+def test_stacked_decoders_match_oracle_on_a_one_wide_latent(monkeypatch):
+    monkeypatch.setattr(neural, "BATCH_SIZE", 16)
     data = _fold_data([40, 41, 70], k=1, p=4, seed=8)
-    _check_stack_against_oracle(
-        data, _seeded(TrainConfig(epochs=8, batch_size=16, seed=9), 3))
+    _check_stack_against_oracle(data, 8, _seeds(9, 3))
 
 
-def test_one_diverging_fold_is_retried_alone_at_half_rate():
+def test_one_diverging_fold_is_retried_alone_at_half_rate(monkeypatch):
     # at this learning rate a latent of scale 0.01 diverges (in epoch 17)
     # and one of scale 3 does not; at half the rate both converge. The
     # other folds train on for 13 epochs after the diverged one leaves.
     data = _fold_data([41, 40, 39, 40], k=2, p=3, seed=10, scale=3.0)
     data.insert(2, _fold_data([40], k=2, p=3, seed=20, scale=0.01)[0])
-    cfgs = _seeded(TrainConfig(epochs=30, batch_size=4, learning_rate=3.0,
-                               seed=12), 5)
+    monkeypatch.setattr(neural, "BATCH_SIZE", 4)
+    monkeypatch.setattr(neural, "LEARNING_RATE", 3.0)
+    seeds = _seeds(12, 5)
     with np.errstate(over="ignore", invalid="ignore"), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        diverged = [oracle_decoder(L, Y, c, attempts=1) is None
-                    for (L, Y), c in zip(data, cfgs)]
+        diverged = [oracle_decoder(L, Y, 30, s, attempts=1) is None
+                    for (L, Y), s in zip(data, seeds)]
         assert diverged == [False, False, True, False, False]
-        nets = _check_stack_against_oracle(data, cfgs)
+        nets = _check_stack_against_oracle(data, 30, seeds)
     assert all(math.isfinite(net.final_loss) for net in nets)
 
 
-def test_every_fold_diverging_twice_raises():
+def test_every_fold_diverging_twice_raises(monkeypatch):
     rng = np.random.default_rng(13)
     Xs = [rng.normal(size=(n, 3)) * 1e6 for n in (20, 21, 40)]
-    cfgs = _seeded(TrainConfig(epochs=5, learning_rate=1e200), 3)
+    monkeypatch.setattr(neural, "LEARNING_RATE", 1e200)
     with pytest.raises(TrainingError), np.errstate(over="ignore",
                                                    invalid="ignore"):
-        train_decoders([X[:, :2] for X in Xs], Xs, cfgs)
+        train_decoders([X[:, :2] for X in Xs], Xs, 5, _seeds(0, 3))
 
 
 def test_stacked_decoders_reject_mismatched_stacks():
     data = _fold_data([20, 20], k=2, p=3)
     Ls, Ys = [L for L, _ in data], [Y for _, Y in data]
-    with pytest.raises(ValueError, match="only in seed"):
-        train_decoders(Ls, Ys, [TrainConfig(epochs=2),
-                                TrainConfig(epochs=3, seed=1)])
+    with pytest.raises(ValueError, match="seeds"):
+        train_decoders(Ls, Ys, 2, [0])
     with pytest.raises(ValueError, match="widths"):
-        train_decoders([Ls[0], Ls[1][:, :1]], Ys, _seeded(TrainConfig(), 2))
+        train_decoders([Ls[0], Ls[1][:, :1]], Ys, 2, _seeds(0, 2))
     with pytest.raises(ValueError, match="row counts"):
-        train_decoders(Ls, [Ys[0], Ys[1][:5]], _seeded(TrainConfig(), 2))
+        train_decoders(Ls, [Ys[0], Ys[1][:5]], 2, _seeds(0, 2))
     with pytest.raises(ValueError):
-        train_decoders([], [], [])
+        train_decoders([], [], 2, [])
 
 
 def test_autoencoder_matches_oracle():
     rng = np.random.default_rng(14)
     X = np.tanh(rng.normal(size=(90, 2)) @ rng.normal(size=(2, 6))) + \
         0.05 * rng.normal(size=(90, 6))
-    cfg = TrainConfig(epochs=12, seed=15)
     h = hidden_width(2, 6)
     want = _oracle_fit([6, h, 2, h, 6], ["tanh", "linear", "tanh", "linear"],
-                       X, X, cfg)
-    got = train_autoencoder(X, 2, cfg)
+                       X, X, 12, 15)
+    got = train_autoencoder(X, 2, 12, 15)
     _assert_same_network(got, want)
     assert got.bottleneck_index == 1
     assert latent(got, X).tobytes() == _oracle_forward_all(

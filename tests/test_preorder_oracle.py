@@ -8,7 +8,7 @@ to the same bytes and print the same text. An oracle genome is a tuple of
 root ``Node``s plus its input arity (``Multi``), or two of them (``Auto``).
 """
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -266,21 +266,15 @@ def _fold(node: Node) -> Node:
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
 
 
-def _fmt_const(v: float, precision: Optional[int]) -> str:
-    return repr(v) if precision is None else f"{v:.{precision}f}"
-
-
-def _to_infix(node: Node, names, precision) -> tuple:
+def _to_infix(node: Node) -> tuple:
     if node.op == "var":
-        return names[node.value], 99
+        return f"x{node.value}", 99
     if node.op == "const":
         v = node.value
-        if v < 0:
-            return f"({_fmt_const(v, precision)})", 99
-        return _fmt_const(v, precision), 99
+        return (f"({v!r})" if v < 0 else repr(v)), 99
     prec = _PRECEDENCE[node.op]
-    lt, lp = _to_infix(node.children[0], names, precision)
-    rt, rp = _to_infix(node.children[1], names, precision)
+    lt, lp = _to_infix(node.children[0])
+    rt, rp = _to_infix(node.children[1])
     if lp < prec:
         lt = f"({lt})"
     if rp < prec or (rp == prec and node.op == "-"):
@@ -288,18 +282,16 @@ def _to_infix(node: Node, names, precision) -> tuple:
     return f"{lt} {node.op} {rt}", prec
 
 
-def _infix(root: Node, arity: int, names=None, precision=3) -> str:
-    names = names or [f"x{j}" for j in range(arity)]
-    return _to_infix(_fold(root), names, precision)[0]
+def _infix(root: Node) -> str:
+    return _to_infix(_fold(root))[0]
 
 
-def _export_lines(mt: Multi, names=None, precision=3, scaling=None) -> list:
+def _export_lines(mt: Multi, scaling=None) -> list:
     lines = []
     for j, root in enumerate(mt.roots):
-        text = _infix(root, mt.arity, names, precision)
+        text = _infix(root)
         if scaling is not None:
-            a, b = (_to_infix(_const(v[j]), (), precision)[0]
-                    for v in scaling)
+            a, b = (_to_infix(_const(v[j]))[0] for v in scaling)
             text = f"{a} + {b} * ({text})"
         lines.append(f"X~{j} = {text}")
     return lines
@@ -425,10 +417,7 @@ def test_simplify_and_export_text_match_the_node_oracle():
         genome = _genome(mt)
         for root, t in zip(mt.roots, genome.trees):
             assert simplify(t) == Tree(_flat(_fold(root)), 3)
-            assert to_infix(t) == _infix(root, 3)
-            assert to_infix(t, ["a", "b", "c"], None) == _infix(
-                root, 3, ["a", "b", "c"], None)
+            assert to_infix(t) == _infix(root)
         scaling = (rng.normal(size=2), rng.normal(size=2))
         assert export_lines(genome) == _export_lines(mt)
-        assert export_lines(genome, None, None, scaling) == _export_lines(
-            mt, None, None, scaling)
+        assert export_lines(genome, scaling) == _export_lines(mt, scaling)
