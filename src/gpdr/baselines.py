@@ -1,4 +1,9 @@
-"""PCA and isomap baseline models."""
+"""PCA and isomap baseline models.
+
+PCA serves twice: as the ``pca`` method (``pca_fit``) and as the space
+every fitness objective and the reconstruction error are measured in
+(``pca_target``). Both fit the same ``PcaModel``.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import IngestionError
 from .distances import geodesic
-from .numerics import covariance_eigen, sym_eigen
+from .numerics import SymmetricEigen, sym_eigen
 
 
 class FitError(ValueError):
@@ -16,8 +22,11 @@ class FitError(ValueError):
 
 @dataclass
 class PcaModel:
+    """Projection onto the ``k`` leading principal components of the rows
+    it was fitted on."""
+
     mean: np.ndarray
-    components: np.ndarray        # (p, k)
+    components: np.ndarray        # (p, k), orthonormal columns
     explained_variance: np.ndarray
     k: int
 
@@ -30,17 +39,34 @@ class PcaModel:
         return latent @ self.components.T + self.mean
 
 
+def _pca(X: np.ndarray) -> tuple[np.ndarray, SymmetricEigen]:
+    """Column means and the eigenpairs of the population covariance of
+    ``X`` (rows are observations)."""
+    X = np.asarray(X, dtype=np.float64)
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    return mean, sym_eigen((Xc.T @ Xc) / X.shape[0])
+
+
 def pca_fit(X: np.ndarray, k: int) -> PcaModel:
-    mean, _, eig = covariance_eigen(X)
+    mean, eig = _pca(X)
     rank = int(np.sum(eig.eigenvalues > 1e-12 * max(1.0, eig.eigenvalues[0])))
     if k > rank:
         raise FitError(f"k={k} exceeds data rank {rank}")
-    return PcaModel(
-        mean=mean,
-        components=eig.eigenvectors[:, :k],
-        explained_variance=eig.eigenvalues[:k],
-        k=k,
-    )
+    return PcaModel(mean, eig.eigenvectors[:, :k], eig.eigenvalues[:k], k)
+
+
+def pca_target(X: np.ndarray, variance_fraction: float = 0.99) -> PcaModel:
+    """The PCA keeping the fewest leading components that hold at least
+    ``variance_fraction`` of the variance; its ``k`` is that count, p'."""
+    mean, eig = _pca(X)
+    lam = np.clip(eig.eigenvalues, 0.0, None)
+    total = lam.sum()
+    if total <= 0:
+        raise IngestionError("degenerate dataset: zero total variance")
+    cum = np.cumsum(lam / total)
+    k = min(int(np.searchsorted(cum, variance_fraction - 1e-12)) + 1, len(lam))
+    return PcaModel(mean, eig.eigenvectors[:, :k], eig.eigenvalues[:k], k)
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""CSV ingestion, standardization, stratified splitting, mini-batch sampling
-and the PCA-space target used by every fitness objective.
+"""CSV ingestion, standardization, stratified splitting and mini-batch
+sampling.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import check_matrix, covariance_eigen
+from .numerics import check_matrix
 
 
 class IngestionError(ValueError):
@@ -136,7 +136,7 @@ def load_csv(path, label_column=None) -> Dataset:
 class Standardizer:
     """Affine per-feature map fitted on one split, reusable on unseen rows.
 
-    Constant features (std 0) are mapped to 0 and restored on inversion.
+    Constant features (std 0) are mapped to 0.
     """
 
     mean: np.ndarray
@@ -152,10 +152,6 @@ class Standardizer:
         z = (rows - self.mean) / self._safe_std
         return np.where(self.std > 0, z, 0.0)
 
-    def inverse_transform(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        return rows * self._safe_std + self.mean
-
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
@@ -164,29 +160,17 @@ class Standardizer:
         return cls(mean=np.array(d["mean"]), std=np.array(d["std"]))
 
 
-def standardize(d: Dataset) -> tuple[Dataset, Standardizer]:
-    """Z-score every feature (population std); constant features go to 0."""
-    mean = d.features.mean(axis=0)
-    std = d.features.std(axis=0)
-    rec = Standardizer(mean=mean, std=std)
-    out = Dataset(
-        features=rec.transform(d.features),
-        labels=d.labels,
-        feature_names=list(d.feature_names),
-        class_count=d.class_count,
-    )
-    return out, rec
+def standardize(X: np.ndarray) -> tuple[np.ndarray, Standardizer]:
+    """Z-score every column of ``X`` (population std); constant columns
+    go to 0."""
+    rec = Standardizer(mean=X.mean(axis=0), std=X.std(axis=0))
+    return rec.transform(X), rec
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    dr_train_indices: np.ndarray
-    dr_heldout_indices: np.ndarray
-    seed: int
-
-
-def split(d: Dataset, dr_fraction: float, seed: int) -> SplitPlan:
-    """Stratified shuffle split into DR-train and held-out index sets."""
+def split(d: Dataset, dr_fraction: float,
+          seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified shuffle split into sorted DR-train and held-out row
+    indices."""
     if not 0.0 < dr_fraction < 1.0:
         raise IngestionError(f"dr_fraction must be in (0, 1), got {dr_fraction}")
     rng = np.random.default_rng(seed)
@@ -210,48 +194,7 @@ def split(d: Dataset, dr_fraction: float, seed: int) -> SplitPlan:
         raise IngestionError(
             f"dr_fraction {dr_fraction} leaves an empty side for n={n}"
         )
-    return SplitPlan(dr_train_indices=train, dr_heldout_indices=held, seed=seed)
-
-
-@dataclass(frozen=True)
-class PcaTarget:
-    """Projection of the data onto the leading components holding at least
-    ``variance_fraction`` of the variance. Keeps the fitted basis so unseen
-    rows can be projected with the same map.
-    """
-
-    transformed: np.ndarray        # (n, p')
-    components_retained: int
-    variance_fraction: float
-    mean: np.ndarray               # fitted column means
-    components: np.ndarray         # (p, p'), orthonormal columns
-    explained_ratios: np.ndarray   # per retained component, nonincreasing
-
-    def project(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        return (rows - self.mean) @ self.components
-
-
-def pca_target(d: Dataset, variance_fraction: float = 0.99) -> PcaTarget:
-    X = d.features
-    mean, Xc, eig = covariance_eigen(X)
-    lam = np.clip(eig.eigenvalues, 0.0, None)
-    total = lam.sum()
-    if total <= 0:
-        raise IngestionError("degenerate dataset: zero total variance")
-    ratios = lam / total
-    cum = np.cumsum(ratios)
-    p_prime = int(np.searchsorted(cum, variance_fraction - 1e-12) + 1)
-    p_prime = min(p_prime, X.shape[1])
-    comps = eig.eigenvectors[:, :p_prime]
-    return PcaTarget(
-        transformed=Xc @ comps,
-        components_retained=p_prime,
-        variance_fraction=variance_fraction,
-        mean=mean,
-        components=comps,
-        explained_ratios=ratios[:p_prime],
-    )
+    return train, held
 
 
 @dataclass
@@ -260,7 +203,6 @@ class BatchSampler:
 
     batch_size: int
     seed: int
-    generation: int = 0
 
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
@@ -268,7 +210,6 @@ class BatchSampler:
     def next_batch(self, source_size: int) -> np.ndarray:
         if source_size < 1:
             raise IngestionError("source_size must be >= 1")
-        self.generation += 1
         if self.batch_size >= source_size:
             return np.arange(source_size)
         return np.sort(

@@ -26,8 +26,9 @@ def pairwise_euclidean(X: np.ndarray) -> np.ndarray:
     return (d + d.T) / 2.0
 
 
-def knn_graph(X: np.ndarray, n_neighbors: int):
-    """Symmetrized k-NN graph, edge weight = Euclidean distance.
+def knn_graph(d: np.ndarray, n_neighbors: int):
+    """Symmetrized k-NN graph of the points whose pairwise distance matrix
+    is ``d``, edge weight = that distance.
 
     The returned sparse matrix is symmetric; absent edges are structural
     zeros (a stored zero only appears for exact-duplicate points, which
@@ -35,7 +36,6 @@ def knn_graph(X: np.ndarray, n_neighbors: int):
     """
     from scipy.sparse import csr_matrix
 
-    d = pairwise_euclidean(X)
     n = d.shape[0]
     if n < n_neighbors + 1:
         raise ValueError(
@@ -86,7 +86,7 @@ def geodesic(X: np.ndarray, n_neighbors: int) -> np.ndarray:
     from scipy.sparse.csgraph import dijkstra
 
     d = pairwise_euclidean(X)
-    g = _repair_connectivity(knn_graph(X, n_neighbors), d)
+    g = _repair_connectivity(knn_graph(d, n_neighbors), d)
     out = dijkstra(g, directed=False)
     if not np.all(np.isfinite(out)):
         raise RuntimeError("geodesic matrix has unreachable pairs after repair")

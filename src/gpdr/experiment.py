@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import isomap_fit, pca_fit
-from .dataset import Dataset, load_csv, pca_target, split, standardize
+from .baselines import isomap_fit, pca_fit, pca_target
+from .dataset import Dataset, load_csv, split, standardize
 from .evaluation import evaluate, mann_whitney_u, significance_stars
 from .evolution import GpRunConfig, RunResult, evolve
 from .fitness import FitnessSpec
@@ -23,17 +23,6 @@ from .neural import latent as mlp_latent, train_autoencoder
 RECORD_FORMAT = "gpdr-run-record"
 RECORD_VERSION = 1
 
-METHODS = (
-    "pca",
-    "isomap",
-    "mt_dist_euclidean",
-    "mt_dist_geodesic",
-    "mt_rank_euclidean",
-    "mt_rank_geodesic",
-    "mt_teacher",
-    "amt_gp",
-)
-
 _GP_OBJECTIVE = {
     "mt_dist_euclidean": ("dist", "euclidean"),
     "mt_dist_geodesic": ("dist", "geodesic"),
@@ -42,6 +31,9 @@ _GP_OBJECTIVE = {
     "mt_teacher": ("teacher", None),
     "amt_gp": ("gp_autoencoder", None),
 }
+
+# derive_seed reads a method's position here: reordering re-seeds every run
+METHODS = ("pca", "isomap") + tuple(_GP_OBJECTIVE)
 
 
 # the reduced budget of acceptance-style runs (``gpdr run --desk-scale``)
@@ -161,40 +153,32 @@ def run_single(
     seed = derive_seed(cfg.master_seed, method, k, run)
     t0 = time.perf_counter()
 
-    plan = split(data, cfg.dr_fraction, seed)
-    train_raw = Dataset(
-        features=data.features[plan.dr_train_indices],
-        labels=None if data.labels is None
-        else data.labels[plan.dr_train_indices],
-        feature_names=list(data.feature_names),
-        class_count=data.class_count,
-    )
-    train_std, scaler = standardize(train_raw)
-    target = pca_target(train_std, cfg.variance_fraction)
+    train, held = split(data, cfg.dr_fraction, seed)
+    train_X, scaler = standardize(data.features[train])
+    target = pca_target(train_X, cfg.variance_fraction)
+    train_target = target.transform(train_X)
 
-    held_X = scaler.transform(data.features[plan.dr_heldout_indices])
-    held_target = target.project(held_X)
-    held_labels = data.labels[plan.dr_heldout_indices]
+    held_X = scaler.transform(data.features[held])
+    held_target = target.transform(held_X)
+    held_labels = data.labels[held]
 
     expressions: list[str] = []
     gp_result: Optional[RunResult] = None
     if method == "pca":
-        latent = pca_fit(train_std.features, k).transform(held_X)
+        latent = pca_fit(train_X, k).transform(held_X)
     elif method == "isomap":
-        latent = isomap_fit(
-            train_std.features, k, cfg.n_neighbors
-        ).transform(held_X)
+        latent = isomap_fit(train_X, k, cfg.n_neighbors).transform(held_X)
     else:
         objective, metric = _GP_OBJECTIVE[method]
         teacher_latent = None
         if objective == "teacher":
-            teacher = train_autoencoder(target.transformed, k,
+            teacher = train_autoencoder(train_target, k,
                                         cfg.teacher_epochs, seed)
-            teacher_latent = mlp_latent(teacher, target.transformed)
+            teacher_latent = mlp_latent(teacher, train_target)
         spec = FitnessSpec(
             objective=objective,
-            inputs=train_std.features,
-            target=target.transformed,
+            inputs=train_X,
+            target=train_target,
             metric=metric,
             teacher_latent=teacher_latent,
             n_neighbors=cfg.n_neighbors,
@@ -230,7 +214,7 @@ def run_single(
         "train_fitness": None if gp_result is None else gp_result.best_fitness,
         "fitness_history": [] if gp_result is None else gp_result.history,
         "standardizer": scaler.to_dict(),
-        "pca_components_retained": target.components_retained,
+        "pca_components_retained": target.k,
         "wall_time": time.perf_counter() - t0,
     }
 

@@ -61,12 +61,3 @@ def sym_eigen(m) -> SymmetricEigen:
     signs[signs == 0] = 1.0
     v = v * signs
     return SymmetricEigen(eigenvalues=w, eigenvectors=v)
-
-
-def covariance_eigen(X) -> tuple[np.ndarray, np.ndarray, SymmetricEigen]:
-    """Column means, centered rows and the eigenpairs of the population
-    covariance of ``X`` (rows are observations): the PCA of ``X``."""
-    X = np.asarray(X, dtype=np.float64)
-    mean = X.mean(axis=0)
-    Xc = X - mean
-    return mean, Xc, sym_eigen((Xc.T @ Xc) / X.shape[0])

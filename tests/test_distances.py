@@ -24,18 +24,19 @@ def test_pairwise_euclidean_against_loops():
 def test_knn_graph_symmetric_with_expected_degree():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(30, 3))
-    g = knn_graph(X, 4)
+    d = pairwise_euclidean(X)
+    g = knn_graph(d, 4)
     dense = g.toarray()
     assert np.allclose(dense, dense.T)
     # symmetrization can only add edges on top of the k outgoing ones
     assert np.all((dense > 0).sum(axis=1) >= 4)
     with pytest.raises(ValueError):
-        knn_graph(X[:4], 4)
+        knn_graph(d[:4, :4], 4)
 
 
 def test_knn_graph_keeps_duplicate_point_edges():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0], [5.0, 1.0]])
-    g = knn_graph(X, 1)
+    g = knn_graph(pairwise_euclidean(X), 1)
     assert g[0, 1] > 0 and g[1, 0] > 0  # stored, not a structural zero
     D = geodesic(X, 1)
     assert np.isfinite(D).all()

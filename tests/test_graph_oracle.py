@@ -24,8 +24,7 @@ from gpdr.distances import geodesic, knn_graph, pairwise_euclidean
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _loop_knn_graph(X, n_neighbors):
-    d = pairwise_euclidean(X)
+def _loop_knn_graph(d, n_neighbors):
     n = d.shape[0]
     order = np.argsort(d, axis=1, kind="stable")
     rows, cols = [], []
@@ -58,7 +57,8 @@ CASES = list(_cases())
 
 @pytest.mark.parametrize("name, X, k", CASES, ids=[c[0] for c in CASES])
 def test_knn_graph_and_geodesic_match_the_loop(name, X, k, monkeypatch):
-    got, want = knn_graph(X, k), _loop_knn_graph(X, k)
+    d = pairwise_euclidean(X)
+    got, want = knn_graph(d, k), _loop_knn_graph(d, k)
     for attr in ("indptr", "indices", "data"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
