@@ -56,7 +56,7 @@ def pca_fit(X: np.ndarray, k: int) -> PcaModel:
     return PcaModel(mean, eig.eigenvectors[:, :k], eig.eigenvalues[:k], k)
 
 
-def pca_target(X: np.ndarray, variance_fraction: float = 0.99) -> PcaModel:
+def pca_target(X: np.ndarray, variance_fraction: float) -> PcaModel:
     """The PCA keeping the fewest leading components that hold at least
     ``variance_fraction`` of the variance; its ``k`` is that count, p'."""
     mean, eig = _pca(X)
@@ -98,7 +98,7 @@ class IsomapModel:
         return out
 
 
-def isomap_fit(X: np.ndarray, k: int, n_neighbors: int = 10) -> IsomapModel:
+def isomap_fit(X: np.ndarray, k: int, n_neighbors: int) -> IsomapModel:
     """Classical MDS on the geodesic matrix of the kNN graph."""
     X = np.asarray(X, dtype=np.float64)
     G = geodesic(X, n_neighbors)

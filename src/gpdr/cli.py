@@ -84,9 +84,12 @@ def run(config, desk_scale, methods, k_list, **flags):
 @click.argument("results_dir", type=click.Path(exists=True))
 def summarize_cmd(results_dir):
     """Print mean +/- std tables with significance stars."""
-    store = ResultStore.load(results_dir)
-    if not store.records:
-        click.echo("error: no records found", err=True)
+    try:
+        store = ResultStore.load(results_dir)
+        if not store.records:
+            raise ExperimentError("no records found")
+    except ExperimentError as e:
+        click.echo(f"error: {e}", err=True)
         sys.exit(1)
     click.echo(summarize(store))
 
@@ -99,8 +102,8 @@ def summarize_cmd(results_dir):
               type=click.Choice(["best_reconstruction", "best_accuracy"]))
 def export_expr(results_dir, method, k, criterion):
     """Print the selected run's latent-dimension expressions."""
-    store = ResultStore.load(results_dir)
     try:
+        store = ResultStore.load(results_dir)
         click.echo(export_expressions(store, method, k, criterion))
     except ExperimentError as e:
         click.echo(f"error: {e}", err=True)

@@ -155,10 +155,6 @@ class Standardizer:
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(mean=np.array(d["mean"]), std=np.array(d["std"]))
-
 
 def standardize(X: np.ndarray) -> tuple[np.ndarray, Standardizer]:
     """Z-score every column of ``X`` (population std); constant columns
@@ -167,32 +163,26 @@ def standardize(X: np.ndarray) -> tuple[np.ndarray, Standardizer]:
     return rec.transform(X), rec
 
 
-def split(d: Dataset, dr_fraction: float,
+def split(labels: np.ndarray, dr_fraction: float,
           seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified shuffle split into sorted DR-train and held-out row
-    indices."""
+    """Stratified shuffle split of the rows with class ``labels`` into
+    sorted DR-train and held-out row indices."""
     if not 0.0 < dr_fraction < 1.0:
         raise IngestionError(f"dr_fraction must be in (0, 1), got {dr_fraction}")
     rng = np.random.default_rng(seed)
-    n = d.n
     train_parts, held_parts = [], []
-    if d.labels is not None:
-        for c in range(d.class_count):
-            idx = np.flatnonzero(d.labels == c)
-            rng.shuffle(idx)
-            n_tr = int(round(dr_fraction * len(idx)))
-            train_parts.append(idx[:n_tr])
-            held_parts.append(idx[n_tr:])
-        train = np.sort(np.concatenate(train_parts))
-        held = np.sort(np.concatenate(held_parts))
-    else:
-        idx = rng.permutation(n)
-        n_tr = int(round(dr_fraction * n))
-        train = np.sort(idx[:n_tr])
-        held = np.sort(idx[n_tr:])
+    for c in range(int(labels.max()) + 1):
+        idx = np.flatnonzero(labels == c)
+        rng.shuffle(idx)
+        n_tr = int(round(dr_fraction * len(idx)))
+        train_parts.append(idx[:n_tr])
+        held_parts.append(idx[n_tr:])
+    train = np.sort(np.concatenate(train_parts))
+    held = np.sort(np.concatenate(held_parts))
     if len(train) == 0 or len(held) == 0:
         raise IngestionError(
-            f"dr_fraction {dr_fraction} leaves an empty side for n={n}"
+            f"dr_fraction {dr_fraction} leaves an empty side for "
+            f"n={len(labels)}"
         )
     return train, held
 

@@ -79,8 +79,6 @@ class RunResult:
     best_genome: object
     best_fitness: float            # re-evaluated on the full DR-train split
     history: list[float]           # per-generation best-of-batch fitness
-    wall_time: float
-    seed: int
     expressions: list[str]
 
 
@@ -90,7 +88,6 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
     population plus the archive of per-generation batch-best genomes.
     ``audit_hook(gen, pop, fits)``, if given, sees every scored generation.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     n = spec.inputs.shape[0]
     p = spec.inputs.shape[1]
@@ -146,7 +143,5 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
         best_genome=winner,
         best_fitness=float(full_fits[winner_idx]),
         history=history,
-        wall_time=time.perf_counter() - t0,
-        seed=cfg.seed,
         expressions=expressions,
     )

@@ -36,6 +36,13 @@ _GP_OBJECTIVE = {
 METHODS = ("pca", "isomap") + tuple(_GP_OBJECTIVE)
 
 
+# the fixed settings of every cell-run: the neighbours of each point in the
+# kNN graph (isomap and the geodesic targets), the share of the variance the
+# PCA target space keeps, and the training epochs of the teacher autoencoder
+N_NEIGHBORS = 10
+VARIANCE_FRACTION = 0.99
+TEACHER_EPOCHS = 500
+
 # the reduced budget of acceptance-style runs (``gpdr run --desk-scale``)
 DESK_SCALE = {"population": 200, "generations": 30, "runs": 10,
               "batch_size": 100}
@@ -60,12 +67,9 @@ class ExperimentConfig:
     master_seed: int = 1
     output_dir: str = "results"
     dr_fraction: float = 0.5
-    n_neighbors: int = 10
     population: int = 1000
     generations: int = 100
     batch_size: int = 100
-    variance_fraction: float = 0.99
-    teacher_epochs: int = 500
     decoder_epochs: int = 500
     workers: int = 1
 
@@ -89,10 +93,9 @@ class ExperimentConfig:
                 raise ExperimentError(
                     f"{name} has repeated entries: {value!r}")
         for name, least in (("runs", 1), ("master_seed", 0),
-                            ("batch_size", 1),
-                            ("decoder_epochs", 1), ("teacher_epochs", 1),
+                            ("batch_size", 1), ("decoder_epochs", 1),
                             ("generations", 1), ("population", 2),
-                            ("n_neighbors", 1), ("workers", 1)):
+                            ("workers", 1)):
             value = getattr(self, name)
             if not _is_count(value, least):
                 raise ExperimentError(
@@ -101,12 +104,6 @@ class ExperimentConfig:
                 or not 0 < self.dr_fraction < 1):
             raise ExperimentError(
                 f"dr_fraction must lie in (0, 1), got {self.dr_fraction!r}")
-        if (not isinstance(self.variance_fraction, (int, float))
-                or isinstance(self.variance_fraction, bool)
-                or not 0 < self.variance_fraction <= 1):
-            raise ExperimentError(
-                "variance_fraction must lie in (0, 1], got "
-                f"{self.variance_fraction!r}")
 
     def apply_desk_scale(self):
         """Reduced-budget preset for acceptance-style runs."""
@@ -153,9 +150,9 @@ def run_single(
     seed = derive_seed(cfg.master_seed, method, k, run)
     t0 = time.perf_counter()
 
-    train, held = split(data, cfg.dr_fraction, seed)
+    train, held = split(data.labels, cfg.dr_fraction, seed)
     train_X, scaler = standardize(data.features[train])
-    target = pca_target(train_X, cfg.variance_fraction)
+    target = pca_target(train_X, VARIANCE_FRACTION)
     train_target = target.transform(train_X)
 
     held_X = scaler.transform(data.features[held])
@@ -167,13 +164,12 @@ def run_single(
     if method == "pca":
         latent = pca_fit(train_X, k).transform(held_X)
     elif method == "isomap":
-        latent = isomap_fit(train_X, k, cfg.n_neighbors).transform(held_X)
+        latent = isomap_fit(train_X, k, N_NEIGHBORS).transform(held_X)
     else:
         objective, metric = _GP_OBJECTIVE[method]
         teacher_latent = None
         if objective == "teacher":
-            teacher = train_autoencoder(train_target, k,
-                                        cfg.teacher_epochs, seed)
+            teacher = train_autoencoder(train_target, k, TEACHER_EPOCHS, seed)
             teacher_latent = mlp_latent(teacher, train_target)
         spec = FitnessSpec(
             objective=objective,
@@ -181,7 +177,7 @@ def run_single(
             target=train_target,
             metric=metric,
             teacher_latent=teacher_latent,
-            n_neighbors=cfg.n_neighbors,
+            n_neighbors=N_NEIGHBORS,
         )
         gp_cfg = GpRunConfig(
             population=cfg.population,
@@ -231,15 +227,19 @@ def write_record(path: Path, record: dict):
 
 def read_record(path: Path) -> dict:
     with open(path) as f:
-        header = json.loads(f.readline())
-        if header.get("format") != RECORD_FORMAT:
-            raise ExperimentError(f"{path}: not a run record")
-        if header.get("version") != RECORD_VERSION:
-            raise ExperimentError(
-                f"{path}: record version {header.get('version')!r}, "
-                f"expected {RECORD_VERSION}"
-            )
-        return json.loads(f.readline())
+        try:
+            header = json.loads(f.readline())
+            if (not isinstance(header, dict)
+                    or header.get("format") != RECORD_FORMAT):
+                raise ExperimentError(f"{path}: not a run record")
+            if header.get("version") != RECORD_VERSION:
+                raise ExperimentError(
+                    f"{path}: record version {header.get('version')!r}, "
+                    f"expected {RECORD_VERSION}"
+                )
+            return json.loads(f.readline())
+        except json.JSONDecodeError as e:
+            raise ExperimentError(f"{path}: not JSON: {e}") from e
 
 
 @dataclass

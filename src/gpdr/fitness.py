@@ -58,12 +58,6 @@ class SammonTarget:
         return float(np.sum((self.d - dt) ** 2 / self.d) / self.total)
 
 
-def sammon_stress(D: np.ndarray, D_tilde: np.ndarray) -> float:
-    """(1/sum d_ij) * sum (d_ij - d~_ij)^2 / d_ij over pairs i<j, skipping
-    near-zero d_ij; see ``SammonTarget``."""
-    return SammonTarget(D).stress(D_tilde)
-
-
 def _rank_weights(R: np.ndarray) -> np.ndarray:
     """Hyperbolic weight 1 / (r + 1) of each entry of each row of R, where
     r is its ascending rank in the row: 0 is the shortest distance, and
@@ -319,7 +313,7 @@ class FitnessSpec:
     target: np.ndarray                      # (n, p') PCA-space data
     metric: Optional[str] = None            # dist/rank only
     teacher_latent: Optional[np.ndarray] = None
-    n_neighbors: int = 10
+    n_neighbors: Optional[int] = None       # geodesic only
     _D_full: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -328,6 +322,8 @@ class FitnessSpec:
         if self.objective in ("dist", "rank"):
             if self.metric not in ("euclidean", "geodesic"):
                 raise FitnessError("dist/rank require a metric")
+            if self.metric == "geodesic" and self.n_neighbors is None:
+                raise FitnessError("the geodesic metric requires n_neighbors")
         elif self.metric is not None:
             raise FitnessError(f"{self.objective} takes no metric")
         if self.objective == "teacher" and self.teacher_latent is None:

@@ -16,7 +16,6 @@ cannot blow up on data tails.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -297,9 +296,9 @@ def _to_infix(nodes: tuple) -> tuple[str, int]:
         # only a right-hand "-" operand gets parentheses at equal
         # precedence. Known defect: with rounding and the 1e12 clamp, + and
         # * are not associative either, yet a right-nested a * (b * c)
-        # prints as a * b * c, which parse_infix reads back as (a * b) * c
-        # and may compute another value. Fixing it changes the exported
-        # expressions of every record.
+        # prints as a * b * c, which reads back as (a * b) * c (as the
+        # test parser in tests/support.py reads it) and may compute another
+        # value. Fixing it changes the exported expressions of every record.
         if rp < prec or (rp == prec and name == "-"):
             rt = f"({rt})"
         return f"{lt} {name} {rt}", prec
@@ -314,97 +313,6 @@ def to_infix(t: Tree) -> str:
     return _to_infix(simplify(t).nodes)[0]
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*()]))"
-)
-
-
-class ParseError(ValueError):
-    pass
-
-
-def parse_infix(text: str, input_arity: int) -> Tree:
-    """Parse the output of :func:`to_infix` back into a tree.
-
-    Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := ['-'] (number | name | '(' expr ')').
-    """
-    name_to_idx = {f"x{j}": j for j in range(input_arity)}
-
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"bad token at {text[pos:pos+12]!r}")
-        pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", None))
-
-    i = 0
-
-    def peek():
-        return tokens[i]
-
-    def take():
-        nonlocal i
-        t = tokens[i]
-        i += 1
-        return t
-
-    def expr() -> tuple:
-        nodes = term()
-        while peek() == ("op", "+") or peek() == ("op", "-"):
-            _, o = take()
-            nodes = op(o, nodes, term())
-        return nodes
-
-    def term() -> tuple:
-        nodes = factor()
-        while peek() == ("op", "*"):
-            take()
-            nodes = op("*", nodes, factor())
-        return nodes
-
-    def factor() -> tuple:
-        kind, val = peek()
-        if (kind, val) == ("op", "-"):
-            take()
-            inner = factor()
-            if inner[0][0] == "const":
-                return constant(-inner[0][1])
-            return op("-", constant(0.0), inner)
-        if kind == "num":
-            take()
-            return constant(val)
-        if kind == "name":
-            take()
-            if val in name_to_idx:
-                return variable(name_to_idx[val])
-            raise ParseError(f"unknown identifier {val!r}")
-        if (kind, val) == ("op", "("):
-            take()
-            inner = expr()
-            if take() != ("op", ")"):
-                raise ParseError("expected ')'")
-            return inner
-        raise ParseError(f"unexpected token {val!r}")
-
-    nodes = expr()
-    if peek()[0] != "end":
-        raise ParseError(f"trailing input: {tokens[i:]}")
-    return Tree(nodes, input_arity)
-
-
 def export_lines(
     mt: MultiTree,
     scaling: Optional[tuple[Sequence[float], Sequence[float]]] = None,
@@ -412,8 +320,9 @@ def export_lines(
     """One ``X~<j> = <infix>`` line per latent dimension.
 
     With ``scaling=(a, b)`` line j reads ``a_j + b_j * (<infix>)``. The
-    tree keeps its parentheses, so re-parsing the line evaluates the tree
-    first, as the scaled fitness did.
+    tree keeps its parentheses, so reading the line back (the tests do, with
+    the parser in tests/support.py) evaluates the tree first, as the scaled
+    fitness did.
     """
     lines = []
     for j, t in enumerate(mt.trees):

@@ -41,10 +41,6 @@ class Mlp:
     bottleneck_index: Optional[int] = None  # layer whose output is the latent
     final_loss: Optional[float] = None
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
     def forward_all(self, X: np.ndarray) -> list[np.ndarray]:
         """Activations after every layer (input excluded)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -108,36 +104,6 @@ def _backprop(weights, activations, X, Y, acts):
         if i > 0:
             delta = delta @ weights[i].swapaxes(-1, -2)
     return gw, gb
-
-
-def gradients(m: Mlp, X: np.ndarray, Y: np.ndarray):
-    """Backprop gradients of the MSE loss w.r.t. every weight and bias."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    acts = m.forward_all(X)
-    gw, gb = _backprop(m.weights, m.activations, X, Y, acts)
-    return gw, [g[0] for g in gb]
-
-
-def grad_check(m: Mlp, X: np.ndarray, Y: np.ndarray, step: float = 1e-5) -> float:
-    """Max relative error between backprop and central finite differences."""
-    gw, gb = gradients(m, X, Y)
-    worst = 0.0
-    params = list(zip(m.weights, gw)) + list(zip(m.biases, gb))
-    for arr, grad in params:
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + step
-            up = _mse(m.forward(X), Y)
-            arr[idx] = orig - step
-            down = _mse(m.forward(X), Y)
-            arr[idx] = orig
-            numeric = (up - down) / (2.0 * step)
-            denom = max(1e-8, abs(numeric) + abs(grad[idx]))
-            worst = max(worst, abs(numeric - grad[idx]) / denom)
-    return worst
 
 
 def _padded(arrays, rows: int) -> np.ndarray:

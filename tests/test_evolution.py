@@ -6,7 +6,7 @@ import pytest
 
 from gpdr.distances import pairwise_euclidean
 from gpdr.evolution import GpRunConfig, _full_split_fitness, evolve
-from gpdr.fitness import FitnessSpec, linear_scaling, sammon_stress
+from gpdr.fitness import FitnessSpec, SammonTarget, linear_scaling
 from gpdr.gp_core import (
     AutoencoderMultiTree,
     MultiTree,
@@ -16,10 +16,10 @@ from gpdr.gp_core import (
     encode,
     eval_tree_rows,
     op,
-    parse_infix,
     variable,
 )
 from gpdr.variation import MAX_DEPTH
+from support import parse_infix
 from test_fitness import weighted_kendall_tau_row
 
 
@@ -67,7 +67,6 @@ def test_evolve_learns_easy_teacher():
                                    batch_size=40, seed=1))
     assert res.best_fitness < 0.5
     assert len(res.history) == 15
-    assert res.wall_time > 0
     assert isinstance(res.best_genome, MultiTree)
 
 
@@ -121,7 +120,7 @@ def _full_split_oracle(spec, genome) -> float:
         return np.mean((lat - spec.teacher_latent) ** 2)
     D, Dt = pairwise_euclidean(spec.target), pairwise_euclidean(lat)
     if spec.objective == "dist":
-        return sammon_stress(D, Dt)
+        return SammonTarget(D).stress(Dt)
     n = D.shape[0]
     off = ~np.eye(n, dtype=bool)
     rows_d, rows_t = D[off].reshape(n, n - 1), Dt[off].reshape(n, n - 1)
@@ -226,10 +225,8 @@ def test_evolve_dist_objective_identity_is_optimal():
     res = evolve(spec, GpRunConfig(population=60, generations=10, k=2,
                                    batch_size=40, seed=8))
     ident = MultiTree((Tree(variable(0), 2), Tree(variable(1), 2)))
-    from gpdr.distances import pairwise_euclidean
-    from gpdr.fitness import sammon_stress
-    best_possible = sammon_stress(pairwise_euclidean(X),
-                                  pairwise_euclidean(encode(ident, X)))
+    best_possible = SammonTarget(pairwise_euclidean(X)).stress(
+        pairwise_euclidean(encode(ident, X)))
     assert best_possible == 0.0
     assert res.best_fitness < 0.5  # evolved stress is at least in range
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,10 @@ def toy_csv(tmp_path_factory):
     return str(path)
 
 
-def _tiny_config(toy_csv, out_dir, methods=("pca",), runs=2):
+def _tiny_config(toy_csv, out_dir, monkeypatch, methods=("pca",), runs=2):
+    # the fixed settings, shortened: a 5-neighbour graph, 20 teacher epochs
+    monkeypatch.setattr(experiment, "N_NEIGHBORS", 5)
+    monkeypatch.setattr(experiment, "TEACHER_EPOCHS", 20)
     return ExperimentConfig(
         dataset_path=toy_csv,
         label_column="label",
@@ -57,8 +61,6 @@ def _tiny_config(toy_csv, out_dir, methods=("pca",), runs=2):
         population=30,
         generations=3,
         batch_size=25,
-        n_neighbors=5,
-        teacher_epochs=20,
         decoder_epochs=10,
     )
 
@@ -71,10 +73,9 @@ def test_config_validation(toy_csv):
     with pytest.raises(ExperimentError, match="batch_size"):
         ExperimentConfig(dataset_path=toy_csv, batch_size=0)
     bad = [("decoder_epochs", 0), ("decoder_epochs", 2.5),
-           ("decoder_epochs", -1), ("teacher_epochs", 0),
-           ("teacher_epochs", 1.5), ("generations", 0), ("generations", 2.0),
+           ("decoder_epochs", -1), ("generations", 0), ("generations", 2.0),
            ("population", 0), ("population", 1), ("population", 10.5),
-           ("n_neighbors", 0), ("workers", 0), ("workers", True),
+           ("workers", 0), ("workers", True),
            ("batch_size", 4.5), ("dr_fraction", 0.0), ("dr_fraction", 1.0),
            ("dr_fraction", -0.5), ("dr_fraction", 1.5),
            ("dr_fraction", float("nan")), ("dr_fraction", "half"),
@@ -82,22 +83,17 @@ def test_config_validation(toy_csv):
            ("k_list", 2), ("k_list", "23"), ("k_list", []),
            ("methods", "pca"), ("methods", None), ("methods", []),
            ("master_seed", -1), ("master_seed", 1.5), ("master_seed", "1"),
-           ("master_seed", True), ("variance_fraction", 0.0),
-           ("variance_fraction", -0.5), ("variance_fraction", 1.01),
-           ("variance_fraction", 99), ("variance_fraction", float("nan")),
-           ("variance_fraction", True), ("variance_fraction", "all")]
+           ("master_seed", True)]
     for name, value in bad:
         message = "k must" if value in ([2.5], [2, 0]) else name
         with pytest.raises(ExperimentError, match=message):
             ExperimentConfig(dataset_path=toy_csv, **{name: value})
     # the least accepted values
     ExperimentConfig(dataset_path=toy_csv, decoder_epochs=1,
-                     teacher_epochs=1, generations=1, population=2,
-                     n_neighbors=1, workers=1, dr_fraction=0.01,
-                     master_seed=0, variance_fraction=1e-9)
+                     generations=1, population=2, workers=1,
+                     dr_fraction=0.01, master_seed=0)
     ExperimentConfig(dataset_path=toy_csv, population=np.int64(5),
-                     dr_fraction=0.99, master_seed=np.int64(2**40),
-                     variance_fraction=1)
+                     dr_fraction=0.99, master_seed=np.int64(2**40))
     cfg = ExperimentConfig(dataset_path=toy_csv)
     cfg.apply_desk_scale()
     assert (cfg.population, cfg.generations, cfg.runs, cfg.batch_size) == \
@@ -205,12 +201,9 @@ def test_cli_run_rejects_nonpositive_batch_size(toy_csv, tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("decoder_epochs", "0"),
-                                        ("teacher_epochs", "0"),
                                         ("population", "0"),
                                         ("decoder_epochs", "2.5"),
-                                        ("n_neighbors", "0"),
-                                        ("master_seed", "-1"),
-                                        ("variance_fraction", "99")])
+                                        ("master_seed", "-1")])
 def test_cli_run_rejects_bad_budgets_before_any_record(toy_csv, tmp_path,
                                                        key, value):
     y = tmp_path / "cfg.yaml"
@@ -223,6 +216,28 @@ def test_cli_run_rejects_bad_budgets_before_any_record(toy_csv, tmp_path,
     assert isinstance(r.exception, SystemExit)
     assert "error:" in r.output and key in r.output
     assert not out.exists() or not any(out.rglob("*.jsonl"))
+
+
+@pytest.mark.parametrize("key, value", [("n_neighbors", "10"),
+                                        ("variance_fraction", "0.99"),
+                                        ("teacher_epochs", "500")])
+def test_fixed_settings_are_unknown_config_keys(toy_csv, tmp_path, key,
+                                                value):
+    """The settings that became constants are rejected by name, even at
+    the constant's own value."""
+    y = tmp_path / "cfg.yaml"
+    out = tmp_path / "results"
+    y.write_text(f"dataset_path: {toy_csv}\nlabel_column: label\nruns: 1\n"
+                 f"methods: [pca]\nk_list: [2]\noutput_dir: {out}\n"
+                 f"{key}: {value}\n")
+    with pytest.raises(ExperimentError,
+                       match=f"unknown config keys: {key}$"):
+        ExperimentConfig.from_yaml(y)
+    r = CliRunner().invoke(main, ["run", "--config", str(y)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert f"error: {y}: unknown config keys: {key}\n" in r.output
+    assert not out.exists()
 
 
 def test_cli_run_rejects_bad_population_flag(toy_csv, tmp_path):
@@ -255,17 +270,39 @@ def test_record_round_trip(tmp_path):
         header = json.loads(f.readline())
     assert header["format"] == "gpdr-run-record"
     bad = tmp_path / "records" / "bad.jsonl"
-    for header in ('{"format": "other"}',
-                   '{"format": "gpdr-run-record", "version": 99}'):
-        bad.write_text(header + '\n{}\n')
-        with pytest.raises(ExperimentError):
+    for text in ('{"format": "other"}\n{}\n',
+                 '{"format": "gpdr-run-record", "version": 99}\n{}\n',
+                 'not json\n{}\n', '', '[1]\n{}\n',
+                 '{"format": "gpdr-run-record", "version": 1}\n{"k": \n'):
+        bad.write_text(text)
+        with pytest.raises(ExperimentError, match=re.escape(str(bad))):
             read_record(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"format": "gpdr-run-record", "version": 2}\n{}\n',
+     "record version 2, expected 1"),
+    ("not json\n", "not JSON"),
+], ids=["version_2", "not_json"])
+def test_cli_readers_report_an_unreadable_record(tmp_path, text, message):
+    path = tmp_path / "records" / "pca_k2_run000.jsonl"
+    path.parent.mkdir()
+    path.write_text(text)
+    for args in (["summarize", str(tmp_path)],
+                 ["export-expr", str(tmp_path), "--method", "pca",
+                  "--k", "2"]):
+        r = CliRunner().invoke(main, args)
+        # a clean exit 1 with a message, not a traceback
+        assert r.exit_code == 1, args
+        assert isinstance(r.exception, SystemExit)
+        assert f"error: {path}: {message}" in r.output
+
+
 @pytest.mark.parametrize("method", METHODS)
-def test_run_single_produces_complete_record(toy_csv, tmp_path, method):
+def test_run_single_produces_complete_record(toy_csv, tmp_path, method,
+                                             monkeypatch):
     data = load_csv(toy_csv, label_column="label")
-    cfg = _tiny_config(toy_csv, tmp_path)
+    cfg = _tiny_config(toy_csv, tmp_path, monkeypatch)
     rec = run_single(data, method, 2, 0, cfg)
     assert rec["method"] == method and rec["k"] == 2
     assert 0.0 <= rec["balanced_accuracy"] <= 1.0
@@ -292,7 +329,7 @@ def test_run_single_embeds_heldout_rows_with_the_encoder(
     """A multi-tree embeds the held-out rows itself; an autoencoder embeds
     them with its encoder only, never its reconstruction."""
     data = load_csv(toy_csv, label_column="label")
-    cfg = _tiny_config(toy_csv, tmp_path)
+    cfg = _tiny_config(toy_csv, tmp_path, monkeypatch)
     enc = MultiTree((Tree(variable(0), 4), Tree(variable(2), 4)))
     dec = MultiTree((Tree(op("*", variable(0), variable(1)), 2),))
     real_encode = experiment.encode
@@ -312,8 +349,7 @@ def test_run_single_embeds_heldout_rows_with_the_encoder(
                            ("amt_gp", AutoencoderMultiTree(enc, dec))):
         monkeypatch.setattr(
             experiment, "evolve",
-            lambda spec, gp_cfg: RunResult(genome, 0.0, [0.0], 0.0,
-                                           gp_cfg.seed, []))
+            lambda spec, gp_cfg: RunResult(genome, 0.0, [0.0], []))
         seen.clear()
         run_single(data, method, 2, 0, cfg)
         assert seen["genome"] is enc
@@ -321,8 +357,9 @@ def test_run_single_embeds_heldout_rows_with_the_encoder(
         assert np.array_equal(seen["latent"], seen["rows"][:, [0, 2]])
 
 
-def test_run_experiment_resumes(toy_csv, tmp_path):
-    cfg = _tiny_config(toy_csv, tmp_path / "out", methods=("pca", "mt_teacher"))
+def test_run_experiment_resumes(toy_csv, tmp_path, monkeypatch):
+    cfg = _tiny_config(toy_csv, tmp_path / "out", monkeypatch,
+                       methods=("pca", "mt_teacher"))
     store = run_experiment(cfg)
     assert len(store.records) == 4
     first = {(r["method"], r["run"]): r["balanced_accuracy"]
@@ -336,8 +373,8 @@ def test_run_experiment_resumes(toy_csv, tmp_path):
     assert first == second
 
 
-def test_store_cell_and_missing(toy_csv, tmp_path):
-    cfg = _tiny_config(toy_csv, tmp_path / "out")
+def test_store_cell_and_missing(toy_csv, tmp_path, monkeypatch):
+    cfg = _tiny_config(toy_csv, tmp_path / "out", monkeypatch)
     store = run_experiment(cfg)
     cell = store.cell("pca", 2)
     assert [r["run"] for r in cell] == [0, 1]
@@ -345,8 +382,8 @@ def test_store_cell_and_missing(toy_csv, tmp_path):
         store.cell("isomap", 2)
 
 
-def test_summarize_and_export(toy_csv, tmp_path):
-    cfg = _tiny_config(toy_csv, tmp_path / "out",
+def test_summarize_and_export(toy_csv, tmp_path, monkeypatch):
+    cfg = _tiny_config(toy_csv, tmp_path / "out", monkeypatch,
                        methods=("pca", "mt_teacher"), runs=3)
     store = run_experiment(cfg)
     text = summarize(store)
@@ -362,9 +399,12 @@ def test_summarize_and_export(toy_csv, tmp_path):
         export_expressions(store, "pca", 2)  # no expression form
 
 
-def test_failed_runs_are_recorded_not_raised(toy_csv, tmp_path):
-    cfg = _tiny_config(toy_csv, tmp_path / "out", methods=("isomap",), runs=1)
-    cfg.n_neighbors = 200  # more neighbors than training rows: must fail
+def test_failed_runs_are_recorded_not_raised(toy_csv, tmp_path,
+                                            monkeypatch):
+    cfg = _tiny_config(toy_csv, tmp_path / "out", monkeypatch,
+                       methods=("isomap",), runs=1)
+    # more neighbors than training rows: must fail
+    monkeypatch.setattr(experiment, "N_NEIGHBORS", 200)
     store = run_experiment(cfg)
     assert len(store.records) == 1
     assert "error" in store.records[0]

@@ -9,10 +9,10 @@ from gpdr.fitness import (
     FitnessSpec,
     RankSweep,
     RankTargetCache,
+    SammonTarget,
     _rank_weights,
     gp_autoencoder_fitness,
     linear_scaling,
-    sammon_stress,
     score,
     score_output,
     teacher_fitness,
@@ -117,11 +117,11 @@ def test_tau_matches_exhaustive_oracle():
 def test_sammon_closed_forms():
     rng = np.random.default_rng(1)
     D = pairwise_euclidean(rng.normal(size=(8, 3)))
-    assert sammon_stress(D, D) == 0.0
+    assert SammonTarget(D).stress(D) == 0.0
     # single pair with d=2, d_tilde=1: ((2-1)^2/2)/2 = 0.25
     two = np.array([[0.0, 2.0], [2.0, 0.0]])
     one = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert sammon_stress(two, one) == 0.25
+    assert SammonTarget(two).stress(one) == 0.25
 
 
 def test_sammon_matches_double_loop_oracle():
@@ -134,20 +134,20 @@ def test_sammon_matches_double_loop_oracle():
             for j in range(i + 1, 6):
                 num += (D[i, j] - Dt[i, j]) ** 2 / D[i, j]
                 den += D[i, j]
-        assert np.isclose(sammon_stress(D, Dt), num / den, atol=1e-12)
+        assert np.isclose(SammonTarget(D).stress(Dt), num / den, atol=1e-12)
 
 
 def test_sammon_skips_duplicate_rows():
     X = np.array([[0.0], [0.0], [1.0]])
     D = pairwise_euclidean(X)
-    assert np.isfinite(sammon_stress(D, D))
+    assert np.isfinite(SammonTarget(D).stress(D))
     with pytest.raises(FitnessError):
-        sammon_stress(np.zeros((3, 3)), np.zeros((3, 3)))
+        SammonTarget(np.zeros((3, 3))).stress(np.zeros((3, 3)))
 
 
 def _sammon_stress_oracle(D, D_tilde):
-    """``sammon_stress`` as it stood before its target side was built once
-    per context, kept as the byte-level reference."""
+    """Sammon stress as it was computed before its target side was built
+    once per context, kept as the byte-level reference."""
     D = np.asarray(D, dtype=np.float64)
     D_tilde = np.asarray(D_tilde, dtype=np.float64)
     if D.shape != D_tilde.shape:
@@ -185,7 +185,7 @@ def test_sammon_through_context_matches_oracle_bytes(batch):
         got = score_output(spec, ctx, out)
         want = _sammon_stress_oracle(ctx.D, pairwise_euclidean(out))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert sammon_stress(ctx.D, pairwise_euclidean(out)) == want
+        assert SammonTarget(ctx.D).stress(pairwise_euclidean(out)) == want
     # a constant latent scores too
     out = np.zeros((ctx.X.shape[0], 2))
     assert score_output(spec, ctx, out) == _sammon_stress_oracle(
@@ -200,13 +200,13 @@ def test_sammon_keeps_its_errors():
     with pytest.raises(FitnessError, match="degenerate target"):
         score_output(spec, ctx, np.ones((4, 1)))
     with pytest.raises(FitnessError, match="degenerate target"):
-        sammon_stress(np.zeros((4, 4)), np.zeros((4, 4)))
+        SammonTarget(np.zeros((4, 4))).stress(np.zeros((4, 4)))
     D = pairwise_euclidean(_duplicated_rows(19)[:6])
     with pytest.raises(FitnessError, match="shape mismatch"):
-        sammon_stress(D, D[:5, :5])
+        SammonTarget(D).stress(D[:5, :5])
     # a mismatch is reported before a degenerate target, as it always was
     with pytest.raises(FitnessError, match="shape mismatch"):
-        sammon_stress(np.zeros((4, 4)), np.zeros((3, 3)))
+        SammonTarget(np.zeros((4, 4))).stress(np.zeros((3, 3)))
 
 
 def _mean_row_tau(D, Dt, tau_row):
@@ -282,6 +282,8 @@ def test_fitness_spec_validation():
         FitnessSpec(objective="nope", inputs=X, target=X)
     with pytest.raises(FitnessError):
         FitnessSpec(objective="dist", inputs=X, target=X)  # missing metric
+    with pytest.raises(FitnessError, match="n_neighbors"):
+        FitnessSpec(objective="rank", inputs=X, target=X, metric="geodesic")
     with pytest.raises(FitnessError):
         FitnessSpec(objective="teacher", inputs=X, target=X, metric="euclidean")
     with pytest.raises(FitnessError):

@@ -6,7 +6,6 @@ from gpdr.gp_core import (
     AutoencoderMultiTree,
     EvalError,
     MultiTree,
-    ParseError,
     Tree,
     autoencode,
     constant,
@@ -17,13 +16,13 @@ from gpdr.gp_core import (
     grow_tree,
     node_count,
     op,
-    parse_infix,
     ramped_autoencoders,
     ramped_half_and_half,
     simplify,
     to_infix,
     variable,
 )
+from support import ParseError, parse_infix
 
 
 def _rand_tree(rng, arity=3, dmax=5):

@@ -107,14 +107,15 @@ def _split(d: Dataset, dr_fraction: float, seed: int):
             np.sort(np.concatenate(held_parts)))
 
 
-def _reference(data: Dataset, cfg, seed: int, k: int) -> dict:
+def _reference(data: Dataset, cfg, seed: int, k: int,
+               variance_fraction: float) -> dict:
     train, held = _split(data, cfg.dr_fraction, seed)
     train_raw = Dataset(features=data.features[train],
                         labels=data.labels[train],
                         feature_names=list(data.feature_names),
                         class_count=data.class_count)
     train_std, scaler = _standardize(train_raw)
-    target = _pca_target(train_std, cfg.variance_fraction)
+    target = _pca_target(train_std, variance_fraction)
     held_X = scaler.transform(data.features[held])
     return {
         "train_X": train_std.features,
@@ -140,7 +141,7 @@ def _prepared(data: Dataset, method: str, k: int, cfg, monkeypatch) -> dict:
     def evolve_spy(spec, gp_cfg):
         seen["train_X"], seen["train_target"] = spec.inputs, spec.target
         genome = MultiTree(tuple(Tree(variable(j), data.p) for j in range(k)))
-        return RunResult(genome, 0.0, [0.0], 0.0, gp_cfg.seed, [])
+        return RunResult(genome, 0.0, [0.0], [])
 
     monkeypatch.setattr(experiment, "evaluate", evaluate_spy)
     monkeypatch.setattr(experiment, "evolve", evolve_spy)
@@ -187,13 +188,15 @@ CHECKED = {"pca": ("held_target", "latent"),
 def test_preparation_matches_the_dataset_pipeline(name, data,
                                                   variance_fraction,
                                                   monkeypatch, tmp_path):
+    monkeypatch.setattr(experiment, "VARIANCE_FRACTION", variance_fraction)
     cfg = ExperimentConfig(dataset_path=str(SEGMENTATION),
                            output_dir=str(tmp_path), dr_fraction=0.7,
-                           variance_fraction=variance_fraction, master_seed=5)
+                           master_seed=5)
     for k in (2, 3):
         for method, keys in CHECKED.items():
             got = _prepared(data, method, k, cfg, monkeypatch)
-            want = _reference(data, cfg, derive_seed(5, method, k, 0), k)
+            want = _reference(data, cfg, derive_seed(5, method, k, 0), k,
+                              variance_fraction)
             assert got["standardizer"] == want["standardizer"]
             assert got["p_prime"] == want["p_prime"]
             for key in keys:
