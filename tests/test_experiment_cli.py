@@ -202,6 +202,9 @@ def test_cli_run_rejects_nonpositive_batch_size(toy_csv, tmp_path):
 
 @pytest.mark.parametrize("key, value", [("decoder_epochs", "0"),
                                         ("population", "0"),
+                                        ("n_neighbors", "0"),
+                                        ("variance_fraction", "99"),
+                                        ("teacher_epochs", "0"),
                                         ("decoder_epochs", "2.5"),
                                         ("master_seed", "-1")])
 def test_cli_run_rejects_bad_budgets_before_any_record(toy_csv, tmp_path,
