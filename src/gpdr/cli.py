@@ -50,11 +50,10 @@ def _build_config(config, overrides) -> ExperimentConfig:
 @click.option("--output-dir", type=click.Path(), default=None)
 @click.option("--population", type=int, default=None)
 @click.option("--generations", type=int, default=None)
-@click.option("--batch-size", type=int, default=None)
 @click.option("--workers", type=int, default=None)
 @click.option("--desk-scale", is_flag=True,
-              help="Reduced budget: P=200, G=30, 10 runs, b=100; the "
-                   "budget flags given override it.")
+              help="Reduced budget: P=200, G=30, 10 runs; the budget "
+                   "flags given override it.")
 def run(config, desk_scale, methods, k_list, **flags):
     """Run the (method x k x run) sweep and persist one record per run."""
     overrides = dict(flags)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .forest import balanced_accuracy, rf_fold_proba
 from .neural import train_decoders
+from .numerics import mse
 
 SIGNIFICANCE_LEVELS = (0.1, 0.05, 0.01)
 # the fixed protocol: N_FOLDS folds, a forest of RF_TREES trees per fold
@@ -157,7 +158,7 @@ def evaluate(
     for test_idx, proba, dec in zip(folds, probas, decoders):
         accs.append(balanced_accuracy(labels[test_idx], proba.argmax(axis=1)))
         recon = dec.forward(latent[test_idx])
-        errs.append(float(np.mean((recon - heldout_target[test_idx]) ** 2)))
+        errs.append(mse(recon, heldout_target[test_idx]))
 
     return EvaluationResult(
         balanced_accuracy=float(np.mean(accs)),

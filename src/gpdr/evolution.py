@@ -30,6 +30,10 @@ from .variation import next_generation
 
 log = logging.getLogger(__name__)
 
+# the rows of each generation's mini-batch; the whole split when it is
+# smaller
+BATCH_SIZE = 100
+
 
 def _full_split_fitness(candidates, spec: FitnessSpec) -> list[float]:
     """Fitness of every candidate on the whole DR-train split.
@@ -64,14 +68,11 @@ class GpRunConfig:
     population: int = 1000
     generations: int = 100
     k: int = 2
-    batch_size: int = 100
     seed: int = 0
 
     def __post_init__(self):
         if self.population < 2 or self.generations < 1:
             raise ValueError("population >= 2 and generations >= 1 required")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -84,18 +85,19 @@ class RunResult:
 
 def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
     """Run ``cfg.generations`` of score-all -> next_generation on fresh
-    mini-batches; the winner is the best full-split fitness over the final
-    population plus the archive of per-generation batch-best genomes.
+    mini-batches of ``BATCH_SIZE`` rows; the winner is the best full-split
+    fitness over the final population plus the archive of per-generation
+    batch-best genomes.
     ``audit_hook(gen, pop, fits)``, if given, sees every scored generation.
     """
     rng = np.random.default_rng(cfg.seed)
     n = spec.inputs.shape[0]
     p = spec.inputs.shape[1]
-    if spec.objective == "rank" and min(cfg.batch_size, n) < 3:
+    if spec.objective == "rank" and min(BATCH_SIZE, n) < 3:
         # a batch of 2 rows has no pair weight: every genome would score NaN
         raise ValueError(
             f"objective 'rank' needs batches of at least 3 rows, got "
-            f"{min(cfg.batch_size, n)}"
+            f"{min(BATCH_SIZE, n)}"
         )
 
     if spec.objective == "gp_autoencoder":
@@ -105,7 +107,7 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
     else:
         pop = ramped_half_and_half(cfg.population, p, cfg.k, rng)
 
-    sampler = BatchSampler(batch_size=cfg.batch_size, seed=int(rng.integers(2**63)))
+    sampler = BatchSampler(batch_size=BATCH_SIZE, seed=int(rng.integers(2**63)))
     history: list[float] = []
     archive: list = []
 

@@ -44,8 +44,7 @@ VARIANCE_FRACTION = 0.99
 TEACHER_EPOCHS = 500
 
 # the reduced budget of acceptance-style runs (``gpdr run --desk-scale``)
-DESK_SCALE = {"population": 200, "generations": 30, "runs": 10,
-              "batch_size": 100}
+DESK_SCALE = {"population": 200, "generations": 30, "runs": 10}
 
 
 class ExperimentError(ValueError):
@@ -69,7 +68,6 @@ class ExperimentConfig:
     dr_fraction: float = 0.5
     population: int = 1000
     generations: int = 100
-    batch_size: int = 100
     decoder_epochs: int = 500
     workers: int = 1
 
@@ -93,9 +91,8 @@ class ExperimentConfig:
                 raise ExperimentError(
                     f"{name} has repeated entries: {value!r}")
         for name, least in (("runs", 1), ("master_seed", 0),
-                            ("batch_size", 1), ("decoder_epochs", 1),
-                            ("generations", 1), ("population", 2),
-                            ("workers", 1)):
+                            ("decoder_epochs", 1), ("generations", 1),
+                            ("population", 2), ("workers", 1)):
             value = getattr(self, name)
             if not _is_count(value, least):
                 raise ExperimentError(
@@ -179,13 +176,8 @@ def run_single(
             teacher_latent=teacher_latent,
             n_neighbors=N_NEIGHBORS,
         )
-        gp_cfg = GpRunConfig(
-            population=cfg.population,
-            generations=cfg.generations,
-            k=k,
-            batch_size=cfg.batch_size,
-            seed=seed,
-        )
+        gp_cfg = GpRunConfig(population=cfg.population,
+                             generations=cfg.generations, k=k, seed=seed)
         gp_result = evolve(spec, gp_cfg)
         expressions = gp_result.expressions
         genome = gp_result.best_genome
@@ -225,6 +217,9 @@ def write_record(path: Path, record: dict):
     tmp.replace(path)
 
 
+_RESULT_KEYS = ("balanced_accuracy", "reconstruction_error", "expressions")
+
+
 def read_record(path: Path) -> dict:
     with open(path) as f:
         try:
@@ -237,9 +232,19 @@ def read_record(path: Path) -> dict:
                     f"{path}: record version {header.get('version')!r}, "
                     f"expected {RECORD_VERSION}"
                 )
-            return json.loads(f.readline())
+            record = json.loads(f.readline())
         except json.JSONDecodeError as e:
             raise ExperimentError(f"{path}: not JSON: {e}") from e
+    if not isinstance(record, dict):
+        raise ExperimentError(f"{path}: record body is not a JSON object")
+    # the keys the readers index; a failed run's record holds its error
+    # instead of its results
+    outcome = ("error",) if "error" in record else _RESULT_KEYS
+    missing = [key for key in ("method", "k", "run") + outcome
+               if key not in record]
+    if missing:
+        raise ExperimentError(f"{path}: record lacks {', '.join(missing)}")
+    return record
 
 
 @dataclass

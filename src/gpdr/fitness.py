@@ -18,11 +18,10 @@ import numpy as np
 
 from .distances import geodesic, pairwise_euclidean
 from .gp_core import AutoencoderMultiTree, MultiTree, autoencode, encode
+from .numerics import mse
 
 ZERO_DISTANCE_TOL = 1e-12
 WORST_FITNESS = float("inf")
-# above this many cached pair entries, rank scoring avoids the pair cache
-RANK_CACHE_MAX_ELEMENTS = 50_000_000
 
 
 class FitnessError(ValueError):
@@ -240,30 +239,10 @@ class RankSweep:
         return float(self.tau_per_row(D_tilde).mean())
 
 
-def teacher_fitness(L: np.ndarray, X_tilde: np.ndarray) -> float:
-    """Mean squared difference between teacher latent and genome latent."""
-    L = np.asarray(L, dtype=np.float64)
-    X_tilde = np.asarray(X_tilde, dtype=np.float64)
-    if L.shape != X_tilde.shape:
-        raise FitnessError(f"shape mismatch: {L.shape} vs {X_tilde.shape}")
-    return float(np.mean((L - X_tilde) ** 2))
-
-
-def gp_autoencoder_fitness(X_target: np.ndarray, X_hat: np.ndarray) -> float:
-    """Mean squared reconstruction error of the decoder output."""
-    X_target = np.asarray(X_target, dtype=np.float64)
-    X_hat = np.asarray(X_hat, dtype=np.float64)
-    if X_target.shape != X_hat.shape:
-        raise FitnessError(
-            f"shape mismatch: {X_target.shape} vs {X_hat.shape}"
-        )
-    return float(np.mean((X_target - X_hat) ** 2))
-
-
 class LinearFit(NamedTuple):
     """Per-column affine fit ``target ~ a + b * output`` and its centered
-    residual pair: ``gp_autoencoder_fitness(target_c, fit_c)`` is the mean
-    squared error left after the fit."""
+    residual pair: ``mse(target_c, fit_c)`` is the mean squared error left
+    after the fit."""
 
     a: np.ndarray
     b: np.ndarray
@@ -360,15 +339,11 @@ class BatchContext:
         if spec.objective == "dist":
             self.sammon = SammonTarget(self.D)
         if spec.objective == "rank":
-            m = self.D.shape[0]
-            cache_size = m * (m - 1) * (m - 2) // 2
-            # the pair cache holds n_rows x n_pairs arrays, so it serves
-            # only batches within the memory cap; the whole split and
-            # larger batches use the Fenwick sweep
-            if not whole and cache_size <= RANK_CACHE_MAX_ELEMENTS:
-                self.rank = RankTargetCache(self.D)
-            else:
-                self.rank = RankSweep(self.D)
+            # a batch (at most evolution.BATCH_SIZE rows) fits the pair
+            # cache, which holds rows x pairs arrays; the whole split takes
+            # the Fenwick sweep. The two kernels round differently, so this
+            # rule fixes the records.
+            self.rank = RankSweep(self.D) if whole else RankTargetCache(self.D)
         if spec.objective == "teacher":
             self.teacher = spec.teacher_latent[rows]
 
@@ -395,10 +370,10 @@ def score_output(spec: FitnessSpec, ctx: BatchContext, out) -> float:
         elif spec.objective == "rank":
             value = -ctx.rank.mean_tau(pairwise_euclidean(out))
         elif spec.objective == "teacher":
-            value = teacher_fitness(ctx.teacher, out)
+            value = mse(ctx.teacher, out)
         else:
             fit = linear_scaling(ctx.target, out)
-            value = gp_autoencoder_fitness(fit.target_c, fit.fit_c)
+            value = mse(fit.target_c, fit.fit_c)
     except FloatingPointError:
         return WORST_FITNESS
     if not np.isfinite(value):

@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from .numerics import mse
+
 BATCH_SIZE = 32
 LEARNING_RATE = 0.01
 MOMENTUM = 0.9
@@ -69,10 +71,6 @@ def _init_mlp(sizes, activations, bottleneck_index, rng) -> Mlp:
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return Mlp(weights, biases, list(activations), bottleneck_index)
-
-
-def _mse(pred: np.ndarray, Y: np.ndarray) -> float:
-    return float(np.mean((pred - Y) ** 2))
 
 
 def _forward(weights, biases, activations, X) -> list[np.ndarray]:
@@ -175,7 +173,7 @@ def _train_stack(sizes, activations, Xs, Ys, epochs: int, seeds,
         for sel, Xn, Yn in full:
             pred = _forward([w[sel] for w in W], [b[sel] for b in B],
                             activations, Xn)[-1]
-            loss[sel] = [_mse(p, y) for p, y in zip(pred, Yn)]
+            loss[sel] = [mse(p, y) for p, y in zip(pred, Yn)]
         keep = np.isfinite(loss)
         if not keep.all():
             W, B, vel_w, vel_b = ([a[keep] for a in arrays]

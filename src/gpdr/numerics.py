@@ -1,4 +1,5 @@
-"""Dense matrix helpers and the symmetric eigendecomposition used by PCA/isomap.
+"""Dense matrix helpers, the mean squared error, and the symmetric
+eigendecomposition used by PCA/isomap.
 
 Matrices are plain 2-D float64 numpy arrays; ``check_matrix`` is the
 construction gate that enforces finiteness.
@@ -26,6 +27,15 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NumericsError(f"{name} contains non-finite entries")
     return m
+
+
+def mse(a, b) -> float:
+    """Mean squared difference of two arrays of the same shape."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise NumericsError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.mean((a - b) ** 2))
 
 
 @dataclass(frozen=True)

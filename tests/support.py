@@ -14,7 +14,8 @@ import re
 import numpy as np
 
 from gpdr.gp_core import Tree, constant, op, variable
-from gpdr.neural import Mlp, _backprop, _mse
+from gpdr.neural import Mlp, _backprop
+from gpdr.numerics import mse
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
@@ -127,9 +128,9 @@ def grad_check(m: Mlp, X: np.ndarray, Y: np.ndarray, step: float = 1e-5) -> floa
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + step
-            up = _mse(m.forward(X), Y)
+            up = mse(m.forward(X), Y)
             arr[idx] = orig - step
-            down = _mse(m.forward(X), Y)
+            down = mse(m.forward(X), Y)
             arr[idx] = orig
             numeric = (up - down) / (2.0 * step)
             denom = max(1e-8, abs(numeric) + abs(grad[idx]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gpdr.distances import pairwise_euclidean
+from gpdr import evolution
 from gpdr.evolution import GpRunConfig, _full_split_fitness, evolve
 from gpdr.fitness import FitnessSpec, SammonTarget, linear_scaling
 from gpdr.gp_core import (
@@ -35,56 +36,56 @@ def test_config_validation():
         GpRunConfig(population=1)
     with pytest.raises(ValueError):
         GpRunConfig(generations=0)
+    # the batch size is the constant evolution.BATCH_SIZE
+    with pytest.raises(TypeError, match="batch_size"):
+        GpRunConfig(batch_size=100)
 
 
-def test_batch_size_must_be_positive():
-    with pytest.raises(ValueError, match="batch_size"):
-        GpRunConfig(batch_size=0)
-    with pytest.raises(ValueError, match="batch_size"):
-        GpRunConfig(batch_size=-3)
-
-
-def test_rank_objective_rejects_batches_under_three_rows():
+def test_rank_objective_rejects_batches_under_three_rows(monkeypatch):
     # a 2-row batch has no weighted pair, so every genome scored NaN and
     # evolution selected blindly: history == [inf, inf, inf, inf]
     X = np.random.default_rng(0).normal(size=(40, 3))
     spec = FitnessSpec("rank", X, X, metric="euclidean")
+    cfg = GpRunConfig(population=20, generations=4)
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 2)
     with pytest.raises(ValueError, match="'rank'"):
-        evolve(spec, GpRunConfig(population=20, generations=4, batch_size=2))
-    # the effective batch is min(batch_size, rows)
+        evolve(spec, cfg)
+    # the effective batch is min(BATCH_SIZE, rows)
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 100)
     with pytest.raises(ValueError, match="'rank'"):
-        evolve(FitnessSpec("rank", X[:2], X[:2], metric="euclidean"),
-               GpRunConfig(population=20, generations=4, batch_size=100))
-    res = evolve(spec, GpRunConfig(population=20, generations=4, batch_size=3))
+        evolve(FitnessSpec("rank", X[:2], X[:2], metric="euclidean"), cfg)
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 3)
+    res = evolve(spec, cfg)
     assert len(res.history) == 4 and np.isfinite(res.history).all()
     assert np.isfinite(res.best_fitness)
 
 
-def test_evolve_learns_easy_teacher():
+def test_evolve_learns_easy_teacher(monkeypatch):
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 40)
     rng = np.random.default_rng(0)
     spec = _teacher_spec(rng)
-    res = evolve(spec, GpRunConfig(population=80, generations=15, k=2,
-                                   batch_size=40, seed=1))
+    res = evolve(spec, GpRunConfig(population=80, generations=15, k=2, seed=1))
     assert res.best_fitness < 0.5
     assert len(res.history) == 15
     assert isinstance(res.best_genome, MultiTree)
 
 
-def test_evolve_is_deterministic():
+def test_evolve_is_deterministic(monkeypatch):
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 30)
     rng = np.random.default_rng(1)
     spec = _teacher_spec(rng)
-    cfg = GpRunConfig(population=40, generations=5, k=2, batch_size=30, seed=9)
+    cfg = GpRunConfig(population=40, generations=5, k=2, seed=9)
     a = evolve(spec, cfg)
     b = evolve(spec, cfg)
     assert a.best_fitness == b.best_fitness
     assert a.history == b.history
     assert a.expressions == b.expressions
-    c = evolve(spec, GpRunConfig(population=40, generations=5, k=2,
-                                 batch_size=30, seed=10))
+    c = evolve(spec, GpRunConfig(population=40, generations=5, k=2, seed=10))
     assert c.history != a.history
 
 
-def test_evolve_audit_invariants_hold():
+def test_evolve_audit_invariants_hold(monkeypatch):
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 30)
     rng = np.random.default_rng(2)
     teacher_spec = _teacher_spec(rng)
     X = rng.normal(size=(60, 4))
@@ -104,7 +105,7 @@ def test_evolve_audit_invariants_hold():
             assert not any(np.isnan(f) for f in fits)
 
         evolve(spec, GpRunConfig(population=50, generations=8, k=2,
-                                 batch_size=30, seed=3), audit_hook=hook)
+                                 seed=3), audit_hook=hook)
         assert seen == list(range(8))
 
 
@@ -130,7 +131,8 @@ def _full_split_oracle(spec, genome) -> float:
 
 @pytest.mark.parametrize("objective",
                          ["dist", "rank", "teacher", "gp_autoencoder"])
-def test_evolve_best_fitness_is_full_split_value(objective):
+def test_evolve_best_fitness_is_full_split_value(objective, monkeypatch):
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 20)
     rng = np.random.default_rng(3)
     if objective == "teacher":
         spec = _teacher_spec(rng)
@@ -140,8 +142,7 @@ def test_evolve_best_fitness_is_full_split_value(objective):
         spec = FitnessSpec(objective=objective, inputs=X, target=X[:, :3],
                            metric=metric)
     genome_types = set()
-    res = evolve(spec, GpRunConfig(population=40, generations=5, k=2,
-                                   batch_size=20, seed=4),
+    res = evolve(spec, GpRunConfig(population=40, generations=5, k=2, seed=4),
                  audit_hook=lambda gen, pop, fits:
                  genome_types.update(map(type, pop)))
     expected = _full_split_oracle(spec, res.best_genome)
@@ -152,11 +153,11 @@ def test_evolve_best_fitness_is_full_split_value(objective):
     assert genome_types == {form} and type(res.best_genome) is form
 
 
-def test_expressions_reparse_to_best_genome():
+def test_expressions_reparse_to_best_genome(monkeypatch):
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 30)
     rng = np.random.default_rng(4)
     spec = _teacher_spec(rng)
-    res = evolve(spec, GpRunConfig(population=40, generations=6, k=2,
-                                   batch_size=30, seed=5))
+    res = evolve(spec, GpRunConfig(population=40, generations=6, k=2, seed=5))
     X = spec.inputs[:10]
     for j, line in enumerate(res.expressions):
         lhs, rhs = line.split(" = ", 1)
@@ -167,13 +168,13 @@ def test_expressions_reparse_to_best_genome():
                            atol=1e-9)
 
 
-def test_evolve_autoencoder_representation():
+def test_evolve_autoencoder_representation(monkeypatch):
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 25)
     rng = np.random.default_rng(5)
     X = rng.normal(size=(50, 3))
     target = X[:, :2]  # 2-column reconstruction target
     spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=target)
-    res = evolve(spec, GpRunConfig(population=40, generations=6, k=2,
-                                   batch_size=25, seed=6))
+    res = evolve(spec, GpRunConfig(population=40, generations=6, k=2, seed=6))
     assert isinstance(res.best_genome, AutoencoderMultiTree)
     assert res.best_genome.decoder.k == 2
     # encoder lines then decoder lines, tagged distinctly
@@ -182,14 +183,14 @@ def test_evolve_autoencoder_representation():
     assert len(res.expressions) == 4
 
 
-def test_exported_autoencoder_lines_reproduce_train_fitness():
+def test_exported_autoencoder_lines_reproduce_train_fitness(monkeypatch):
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 30)
     rng = np.random.default_rng(8)
     X = rng.normal(size=(60, 4))
     target = np.column_stack([X[:, 0] - X[:, 1], X[:, 2] * X[:, 3] + 3.0,
                               X[:, 3]])
     spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=target)
-    res = evolve(spec, GpRunConfig(population=40, generations=6, k=2,
-                                   batch_size=30, seed=9))
+    res = evolve(spec, GpRunConfig(population=40, generations=6, k=2, seed=9))
 
     def evaluate_lines(prefix, count, arity, rows):
         lines = [e for e in res.expressions if e.startswith(prefix)]
@@ -207,23 +208,23 @@ def test_exported_autoencoder_lines_reproduce_train_fitness():
     assert abs(np.mean((target - recon) ** 2) - res.best_fitness) <= 1e-9
 
 
-def test_evolve_rank_objective_small():
+def test_evolve_rank_objective_small(monkeypatch):
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 20)
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 3))
     spec = FitnessSpec(objective="rank", inputs=X, target=X,
                        metric="euclidean")
-    res = evolve(spec, GpRunConfig(population=30, generations=5, k=2,
-                                   batch_size=20, seed=7))
+    res = evolve(spec, GpRunConfig(population=30, generations=5, k=2, seed=7))
     assert -1.0 <= res.best_fitness <= 1.0
 
 
-def test_evolve_dist_objective_identity_is_optimal():
+def test_evolve_dist_objective_identity_is_optimal(monkeypatch):
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 40)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 2))
     spec = FitnessSpec(objective="dist", inputs=X, target=X,
                        metric="euclidean")
-    res = evolve(spec, GpRunConfig(population=60, generations=10, k=2,
-                                   batch_size=40, seed=8))
+    res = evolve(spec, GpRunConfig(population=60, generations=10, k=2, seed=8))
     ident = MultiTree((Tree(variable(0), 2), Tree(variable(1), 2)))
     best_possible = SammonTarget(pairwise_euclidean(X)).stress(
         pairwise_euclidean(encode(ident, X)))

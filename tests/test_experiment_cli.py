@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from gpdr.cli import main
-from gpdr import experiment
+from gpdr import evolution, experiment
 from gpdr.evaluation import EvaluationResult
 from gpdr.evolution import RunResult
 from gpdr.experiment import (
@@ -47,9 +47,11 @@ def toy_csv(tmp_path_factory):
 
 
 def _tiny_config(toy_csv, out_dir, monkeypatch, methods=("pca",), runs=2):
-    # the fixed settings, shortened: a 5-neighbour graph, 20 teacher epochs
+    # the fixed settings, shortened: a 5-neighbour graph, 20 teacher
+    # epochs, and batches of 25 of the 45 DR-train rows
     monkeypatch.setattr(experiment, "N_NEIGHBORS", 5)
     monkeypatch.setattr(experiment, "TEACHER_EPOCHS", 20)
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 25)
     return ExperimentConfig(
         dataset_path=toy_csv,
         label_column="label",
@@ -60,7 +62,6 @@ def _tiny_config(toy_csv, out_dir, monkeypatch, methods=("pca",), runs=2):
         output_dir=str(out_dir),
         population=30,
         generations=3,
-        batch_size=25,
         decoder_epochs=10,
     )
 
@@ -70,13 +71,14 @@ def test_config_validation(toy_csv):
         ExperimentConfig(dataset_path=toy_csv, methods=["nope"])
     with pytest.raises(ExperimentError):
         ExperimentConfig(dataset_path=toy_csv, runs=0)
-    with pytest.raises(ExperimentError, match="batch_size"):
-        ExperimentConfig(dataset_path=toy_csv, batch_size=0)
+    # the batch size is the constant evolution.BATCH_SIZE
+    with pytest.raises(TypeError, match="batch_size"):
+        ExperimentConfig(dataset_path=toy_csv, batch_size=100)
     bad = [("decoder_epochs", 0), ("decoder_epochs", 2.5),
            ("decoder_epochs", -1), ("generations", 0), ("generations", 2.0),
            ("population", 0), ("population", 1), ("population", 10.5),
            ("workers", 0), ("workers", True),
-           ("batch_size", 4.5), ("dr_fraction", 0.0), ("dr_fraction", 1.0),
+           ("dr_fraction", 0.0), ("dr_fraction", 1.0),
            ("dr_fraction", -0.5), ("dr_fraction", 1.5),
            ("dr_fraction", float("nan")), ("dr_fraction", "half"),
            ("runs", 1.5), ("k_list", [2.5]), ("k_list", [2, 0]),
@@ -96,8 +98,7 @@ def test_config_validation(toy_csv):
                      dr_fraction=0.99, master_seed=np.int64(2**40))
     cfg = ExperimentConfig(dataset_path=toy_csv)
     cfg.apply_desk_scale()
-    assert (cfg.population, cfg.generations, cfg.runs, cfg.batch_size) == \
-        (200, 30, 10, 100)
+    assert (cfg.population, cfg.generations, cfg.runs) == (200, 30, 10)
 
 
 def test_config_rejects_repeated_methods_and_k(toy_csv):
@@ -173,31 +174,35 @@ def test_cli_desk_scale_keeps_the_budget_flags_given(toy_csv, tmp_path,
     y.write_text(f"dataset_path: {toy_csv}\npopulation: 500\nruns: 7\n")
     base = ["run", "--dataset", toy_csv, "--output-dir", str(tmp_path / "r")]
     cases = [
-        (base + ["--desk-scale"], (200, 30, 10, 100)),
+        (base + ["--desk-scale"], (200, 30, 10)),
         (base + ["--desk-scale", "--runs", "2", "--population", "50",
-                 "--generations", "4", "--batch-size", "25"], (50, 4, 2, 25)),
-        (base + ["--runs", "2"], (1000, 100, 2, 100)),
+                 "--generations", "4"], (50, 4, 2)),
+        (base + ["--runs", "2"], (1000, 100, 2)),
         # the preset outranks the file's keys, as any flag does
         (["run", "--config", str(y), "--desk-scale", "--generations", "3"],
-         (200, 3, 10, 100)),
+         (200, 3, 10)),
     ]
     for args, budget in cases:
         r = CliRunner().invoke(main, args)
         assert r.exit_code == 0, r.output
         cfg = seen.pop()
-        assert (cfg.population, cfg.generations, cfg.runs,
-                cfg.batch_size) == budget, args
+        assert (cfg.population, cfg.generations, cfg.runs) == budget, args
 
 
-def test_cli_run_rejects_nonpositive_batch_size(toy_csv, tmp_path):
+def test_cli_run_has_no_batch_size_option(toy_csv, tmp_path):
+    out = tmp_path / "results"
     r = CliRunner().invoke(main, [
         "run", "--dataset", toy_csv, "--label-column", "label",
         "--method", "pca", "--k", "2", "--runs", "1",
-        "--output-dir", str(tmp_path / "results"), "--batch-size", "0",
+        "--output-dir", str(out), "--batch-size", "100",
     ])
-    assert r.exit_code == 1
-    assert isinstance(r.exception, SystemExit)
-    assert "error:" in r.output and "batch_size" in r.output
+    assert r.exit_code == 2
+    # click words it "No such option: --batch-size" or "No such option
+    # '--batch-size'", by version
+    assert re.search(r"No such option\W+--batch-size", r.output)
+    assert not out.exists()
+    help_text = CliRunner().invoke(main, ["run", "--help"]).output
+    assert "--batch-size" not in help_text and "b=100" not in help_text
 
 
 @pytest.mark.parametrize("key, value", [("decoder_epochs", "0"),
@@ -223,7 +228,8 @@ def test_cli_run_rejects_bad_budgets_before_any_record(toy_csv, tmp_path,
 
 @pytest.mark.parametrize("key, value", [("n_neighbors", "10"),
                                         ("variance_fraction", "0.99"),
-                                        ("teacher_epochs", "500")])
+                                        ("teacher_epochs", "500"),
+                                        ("batch_size", "100")])
 def test_fixed_settings_are_unknown_config_keys(toy_csv, tmp_path, key,
                                                 value):
     """The settings that became constants are rejected by name, even at
@@ -265,7 +271,8 @@ def test_derive_seed_is_stable_and_distinct():
 
 
 def test_record_round_trip(tmp_path):
-    rec = {"method": "pca", "k": 2, "run": 0, "balanced_accuracy": 0.5}
+    rec = {"method": "pca", "k": 2, "run": 0, "balanced_accuracy": 0.5,
+           "reconstruction_error": 1.5, "expressions": []}
     path = tmp_path / "records" / "r.jsonl"
     write_record(path, rec)
     assert read_record(path) == rec
@@ -282,11 +289,19 @@ def test_record_round_trip(tmp_path):
             read_record(bad)
 
 
+V1 = '{"format": "gpdr-run-record", "version": 1}\n'
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"format": "gpdr-run-record", "version": 2}\n{}\n',
      "record version 2, expected 1"),
     ("not json\n", "not JSON"),
-], ids=["version_2", "not_json"])
+    (V1 + "{}\n", "record lacks method, k, run, balanced_accuracy, "
+                  "reconstruction_error, expressions"),
+    (V1 + "[1]\n", "record body is not a JSON object"),
+    (V1 + '{"method": "pca", "k": 2, "run": 0, "balanced_accuracy": 0.5}\n',
+     "record lacks reconstruction_error, expressions"),
+], ids=["version_2", "not_json", "empty_body", "list_body", "no_results"])
 def test_cli_readers_report_an_unreadable_record(tmp_path, text, message):
     path = tmp_path / "records" / "pca_k2_run000.jsonl"
     path.parent.mkdir()
@@ -436,13 +451,14 @@ def test_cli_validate_data_takes_a_label_column_index():
     assert by_index.output == by_name.output
 
 
-def test_cli_run_and_summarize(toy_csv, tmp_path):
+def test_cli_run_and_summarize(toy_csv, tmp_path, monkeypatch):
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 25)
     out = str(tmp_path / "results")
     r = CliRunner().invoke(main, [
         "run", "--dataset", toy_csv, "--label-column", "label",
         "--method", "pca", "--method", "mt_teacher", "--k", "2",
         "--runs", "2", "--master-seed", "3", "--output-dir", out,
-        "--population", "30", "--generations", "3", "--batch-size", "25",
+        "--population", "30", "--generations", "3",
     ])
     assert r.exit_code == 0, r.output
     assert "4 records" in r.output

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gpdr.distances import pairwise_euclidean
+from gpdr.evolution import BATCH_SIZE
 from gpdr.fitness import (
     WORST_FITNESS,
     BatchContext,
@@ -11,11 +12,9 @@ from gpdr.fitness import (
     RankTargetCache,
     SammonTarget,
     _rank_weights,
-    gp_autoencoder_fitness,
     linear_scaling,
     score,
     score_output,
-    teacher_fitness,
 )
 from gpdr.gp_core import (
     AutoencoderMultiTree,
@@ -25,6 +24,7 @@ from gpdr.gp_core import (
     op,
     variable,
 )
+from gpdr.numerics import NumericsError, mse
 
 
 def weighted_kendall_tau_row(d_row, dt_row) -> float:
@@ -268,12 +268,16 @@ def test_rank_cache_matches_direct_computation():
 
 
 def test_pointwise_objectives():
+    """The teacher and autoencoder objectives are the mean squared error."""
     L = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert teacher_fitness(L, L) == 0.0
-    assert teacher_fitness(L, L + 1.0) == 1.0
-    assert gp_autoencoder_fitness(L, L + 2.0) == 4.0
-    with pytest.raises(FitnessError):
-        teacher_fitness(L, L[:1])
+    assert mse(L, L) == 0.0
+    assert mse(L, L + 1.0) == 1.0
+    assert mse(L, L + 2.0) == 4.0
+    with pytest.raises(NumericsError):
+        mse(L, L[:1])
+    spec = FitnessSpec(objective="teacher", inputs=L, target=L,
+                       teacher_latent=L)
+    assert score_output(spec, BatchContext(spec), L + 1.0) == 1.0
 
 
 def test_fitness_spec_validation():
@@ -316,22 +320,27 @@ def test_score_rank_objective_and_batch_slicing():
     assert np.isclose(got, -1.0, atol=1e-12)
 
 
-def test_score_rank_blocked_fallback_matches_cache(monkeypatch):
-    import gpdr.fitness as fit
-
+def test_rank_kernel_is_chosen_by_batch_or_whole_split():
     rng = np.random.default_rng(8)
-    X = rng.normal(size=(25, 3))
+    X = rng.normal(size=(BATCH_SIZE + 20, 3))
     spec = FitnessSpec(objective="rank", inputs=X, target=X, metric="euclidean")
     g = _identity_genome(3, 2)
-    cached = BatchContext(spec, np.arange(25))
-    assert isinstance(cached.rank, RankTargetCache)
-    # the whole split always takes the sweep, whatever its size
-    assert isinstance(BatchContext(spec).rank, RankSweep)
-    with_cache = score(g, spec, cached)
-    monkeypatch.setattr(fit, "RANK_CACHE_MAX_ELEMENTS", 10)
-    ctx = BatchContext(spec, np.arange(25))
-    assert isinstance(ctx.rank, RankSweep)
-    assert np.isclose(score(g, spec, ctx), with_cache, atol=1e-12)
+    # a batch takes the pair cache, also a batch of every row; one of
+    # BATCH_SIZE rows holds m (m - 1) (m - 2) / 2 entries per array, m = 100
+    every_row = BatchContext(spec, np.arange(X.shape[0]))
+    assert isinstance(every_row.rank, RankTargetCache)
+    full_batch = BatchContext(spec, np.arange(BATCH_SIZE))
+    assert isinstance(full_batch.rank, RankTargetCache)
+    assert full_batch.rank.sign_d.size == 100 * 99 * 98 // 2
+    # the whole split takes the sweep, whatever its size
+    whole = BatchContext(spec)
+    assert isinstance(whole.rank, RankSweep)
+    assert isinstance(BatchContext(FitnessSpec(
+        objective="rank", inputs=X[:5], target=X[:5], metric="euclidean")
+    ).rank, RankSweep)
+    # the two kernels agree up to rounding
+    assert np.isclose(score(g, spec, whole), score(g, spec, every_row),
+                      atol=1e-12)
 
 
 def test_score_teacher_and_autoencoder_objectives():
