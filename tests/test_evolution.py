@@ -36,9 +36,14 @@ def test_config_validation():
         GpRunConfig(population=1)
     with pytest.raises(ValueError):
         GpRunConfig(generations=0)
-    # the batch size is the constant evolution.BATCH_SIZE
-    with pytest.raises(TypeError, match="batch_size"):
-        GpRunConfig(batch_size=100)
+
+
+def test_batch_size_must_be_positive():
+    # the batch size is the constant evolution.BATCH_SIZE, not a setting
+    assert isinstance(evolution.BATCH_SIZE, int) and evolution.BATCH_SIZE > 0
+    for bad in (0, -3, 100):
+        with pytest.raises(TypeError, match="batch_size"):
+            GpRunConfig(batch_size=bad)
 
 
 def test_rank_objective_rejects_batches_under_three_rows(monkeypatch):
