@@ -16,8 +16,8 @@ from .fitness import (
     BatchContext,
     FitnessSpec,
     genome_output,
+    genome_outputs,
     linear_scaling,
-    score,
     score_output,
 )
 from .gp_core import (
@@ -48,8 +48,7 @@ def _full_split_fitness(candidates, spec: FitnessSpec) -> list[float]:
     ctx = BatchContext(spec)
     by_output: dict = {}
     fits = []
-    for g in candidates:
-        out = genome_output(g, spec, ctx.X)
+    for out in genome_outputs(candidates, spec, ctx.X):
         key = out.tobytes()
         if key not in by_output:
             by_output[key] = score_output(spec, ctx, out)
@@ -114,7 +113,8 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
     for gen in range(cfg.generations):
         batch = sampler.next_batch(n)
         ctx = BatchContext(spec, batch)
-        fits = [score(g, spec, ctx) for g in pop]
+        fits = [score_output(spec, ctx, out)
+                for out in genome_outputs(pop, spec, ctx.X)]
         best_idx = int(np.argmin(fits))
         history.append(fits[best_idx])
         archive.append(pop[best_idx])

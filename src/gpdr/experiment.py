@@ -220,6 +220,10 @@ def write_record(path: Path, record: dict):
 _RESULT_KEYS = ("balanced_accuracy", "reconstruction_error", "expressions")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_record(path: Path) -> dict:
     with open(path) as f:
         try:
@@ -244,6 +248,18 @@ def read_record(path: Path) -> dict:
                if key not in record]
     if missing:
         raise ExperimentError(f"{path}: record lacks {', '.join(missing)}")
+    # and the values they sort, group and average by
+    checks = {"method": record["method"] in METHODS,
+              "k": _is_count(record["k"], 1),
+              "run": _is_count(record["run"], 0)}
+    if "error" not in record:
+        for key in METRICS:
+            checks[key] = _is_number(record[key])
+    unusable = [f"{key}={record[key]!r}" for key, ok in checks.items()
+                if not ok]
+    if unusable:
+        raise ExperimentError(f"{path}: record has unusable "
+                              f"{', '.join(unusable)}")
     return record
 
 

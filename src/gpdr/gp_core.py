@@ -11,12 +11,14 @@ it is drawn, so a preorder index names the same node the draws made.
 
 Evaluation is vectorized over the rows of a matrix; every operator output
 is clamped to +/-1e12 and NaN is replaced by 0 so depth-7 polynomials
-cannot blow up on data tails.
+cannot blow up on data tails. ``evaluate_trees`` evaluates many trees in
+one pass, by node height, with the bytes of a node-by-node walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,42 +122,156 @@ def _reduce(nodes: tuple, leaf, combine):
     return stack.pop()
 
 
-def _clamp(a: np.ndarray) -> np.ndarray:
+def _clamp(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # same bits as nan_to_num(nan=0, posinf=CLAMP, neginf=-CLAMP) then
-    # clip: clip keeps NaN and maps +-inf to +-CLAMP
-    a = np.clip(a, -CLAMP, CLAMP)
+    # clip: clip keeps NaN and maps +-inf to +-CLAMP. Without ``out`` the
+    # input is kept.
+    a = np.clip(a, -CLAMP, CLAMP, out=out)
     a[np.isnan(a)] = 0.0
     return a
 
 
-def _evaluate(nodes: tuple, X: np.ndarray) -> np.ndarray:
-    # _reduce's loop, written out: this is the hot path of batch scoring
-    stack = []
-    for symbol, value in reversed(nodes):
-        if symbol == "var":
-            stack.append(X[:, value])
-        elif symbol == "const":
-            stack.append(np.full(X.shape[0], value))
-        else:
-            left = stack.pop()
-            stack.append(_clamp(_UFUNCS[symbol](left, stack.pop())))
-    return stack.pop()
+# node codes of the evaluation pass; an operator's code is its index in
+# FUNCTION_SET
+_VAR, _CONST = -2, -1
+_CODES = {"var": _VAR, "const": _CONST,
+          **{name: i for i, name in enumerate(FUNCTION_SET)}}
+_OPERATORS = tuple(_UFUNCS.values())
+_RUN_EDGES = np.arange(len(_OPERATORS) + 1)
+
+# the most float64 elements (nodes x rows) one chunk's operand table holds
+EVAL_BUDGET = 2**16
 
 
-def eval_tree_rows(t: Tree, X: np.ndarray) -> np.ndarray:
-    """Evaluate ``t`` on every row of ``X`` (n, arity) -> (n,)."""
+def _flatten(trees: Sequence[tuple]):
+    """The node codes and values of the trees, one after another; an
+    operator's value is 0."""
+    symbols, values = zip(*chain.from_iterable(trees))
+    code = np.fromiter(map(_CODES.__getitem__, symbols), np.int8, len(symbols))
+    value = np.fromiter((0.0 if v is None else v for v in values), np.float64,
+                        len(values))
+    return code, value
+
+
+def _links(code: np.ndarray):
+    """The right child of every operator and the height of every node of
+    whole preorder trees, one after another (the left child of operator i
+    is node i + 1).
+
+    Before each node, count the open slots: +1 per operator, -1 per
+    terminal. Operator i's left subtree keeps the count above i's own, and
+    the right child is the first later node back at it: i's successor in
+    a stable sort of the counts."""
+    is_op = code >= 0
+    open_slots = np.concatenate(([0], np.cumsum(np.where(is_op, 1, -1))))
+    by_count = np.argsort(open_slots, kind="stable")
+    right = np.empty_like(by_count)
+    right[by_count[:-1]] = by_count[1:]
+    ops = np.flatnonzero(is_op)
+    height = np.zeros(code.size, np.intp)
+    while ops.size:
+        h = 1 + np.maximum(height[ops + 1], height[right[ops]])
+        if np.array_equal(h, height[ops]):
+            break
+        height[ops] = h
+    return right, height
+
+
+def _evaluate_chunk(trees: Sequence[tuple], sizes: np.ndarray,
+                    offsets: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``evaluate_trees`` on a chunk of whole trees of ``sizes`` nodes,
+    variable j of tree t reading column ``j + offsets[t]``."""
+    code, value = _flatten(trees)
+    right, height = _links(code)
+    is_var = code == _VAR
+    cols = value[is_var].astype(np.intp) + np.repeat(offsets, sizes)[is_var]
+    if cols.size and (cols.min() < 0 or cols.max() >= X.shape[1]):
+        raise EvalError(f"a variable reads beyond the {X.shape[1]} columns")
+    # table rows: the columns [lo, lo + n_var) of X, the constants, then
+    # the operators in (height, symbol) order, so that each height writes
+    # one block and each symbol one run of it
+    lo = cols.min() if cols.size else 0
+    n_var = cols.max() + 1 - lo if cols.size else 0
+    consts = np.flatnonzero(code == _CONST)
+    ops = np.flatnonzero(code >= 0)
+    ops = ops[np.lexsort((code[ops], height[ops]))]
+    first_op = n_var + consts.size
+    slot = np.empty(code.size, np.intp)
+    slot[is_var] = cols - lo
+    slot[consts] = n_var + np.arange(consts.size)
+    slot[ops] = first_op + np.arange(ops.size)
+    table = np.empty((first_op + ops.size, X.shape[0]))
+    table[:n_var] = X.T[lo:lo + n_var]
+    table[n_var:first_op] = value[consts, None]
+    left_slot, right_slot = slot[ops + 1], slot[right[ops]]
+    # a height reads only lower heights, all clamped by then: gather its
+    # operands and clamp its outputs in one call each, and apply each
+    # operator to its run of the height
+    cuts = [0, *(np.flatnonzero(np.diff(height[ops])) + 1).tolist(), ops.size]
+    for s, e in zip(cuts, cuts[1:]):
+        lhs, rhs = table[left_slot[s:e]], table[right_slot[s:e]]
+        block = table[first_op + s:first_op + e]
+        runs = np.searchsorted(code[ops[s:e]], _RUN_EDGES).tolist()
+        for symbol, (rs, re) in enumerate(zip(runs, runs[1:])):
+            if rs < re:
+                _OPERATORS[symbol](lhs[rs:re], rhs[rs:re], out=block[rs:re])
+        _clamp(block, out=block)
+    return table[slot[np.cumsum(sizes) - sizes]]
+
+
+def evaluate_trees(
+    trees: Sequence[tuple],
+    X: np.ndarray,
+    column_offsets: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """Evaluate preorder trees on every row of ``X``: row t of the result is
+    tree t's output. Variable j of tree t reads column
+    ``j + column_offsets[t]`` (offset 0 by default).
+
+    Every operator of the same height (0 at the terminals) and symbol, over
+    all trees of a chunk, is one ufunc call on operands gathered from one
+    table: the columns of X that the chunk reads, a row per constant, then
+    the operator outputs in (height, symbol) order. Each height's outputs
+    then get one ``_clamp`` before a higher height reads them. Each node so
+    meets the IEEE operation, operands and clamp of a node-by-node walk,
+    and the outputs are the walk's bytes. A chunk is a run of whole trees
+    whose node count times the rows stays within ``EVAL_BUDGET`` (a larger
+    tree is a chunk of its own), so the memory a call takes beyond its
+    output does not grow with the number of trees.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != t.input_arity:
-        raise EvalError(
-            f"input width {X.shape} does not match arity {t.input_arity}"
-        )
-    return _evaluate(t.nodes, X)
+    if X.ndim != 2:
+        raise EvalError(f"expected a 2-D input, got shape {X.shape}")
+    offsets = np.zeros(len(trees), np.intp)
+    if column_offsets is not None:
+        offsets[:] = column_offsets
+    out = np.empty((len(trees), X.shape[0]))
+    sizes = np.fromiter(map(len, trees), np.intp, len(trees))
+    ends = np.cumsum(sizes)
+    max_nodes = max(1, EVAL_BUDGET // max(X.shape[0], 1))
+    t0 = 0
+    while t0 < len(trees):
+        limit = (ends[t0 - 1] if t0 else 0) + max_nodes
+        t1 = max(t0 + 1, int(np.searchsorted(ends, limit, "right")))
+        out[t0:t1] = _evaluate_chunk(trees[t0:t1], sizes[t0:t1],
+                                     offsets[t0:t1], X)
+        t0 = t1
+    return out
 
 
 def encode(mt: MultiTree, X: np.ndarray) -> np.ndarray:
     """Apply each tree row-wise; column j is tree j's output."""
     X = np.asarray(X, dtype=np.float64)
-    return np.column_stack([eval_tree_rows(t, X) for t in mt.trees])
+    if X.ndim != 2 or X.shape[1] != mt.input_arity:
+        raise EvalError(
+            f"input width {X.shape} does not match arity {mt.input_arity}"
+        )
+    return evaluate_trees([t.nodes for t in mt.trees], X).T.copy()
+
+
+def eval_tree_rows(t: Tree, X: np.ndarray) -> np.ndarray:
+    """Evaluate ``t`` on every row of ``X`` (n, arity) -> (n,)."""
+    return encode(MultiTree((t,)), X)[:, 0]
 
 
 def autoencode(amt: AutoencoderMultiTree, X: np.ndarray):
@@ -249,7 +365,8 @@ def ramped_autoencoders(
 def _fold(name: str, a: tuple, b: tuple) -> tuple:
     (sa, va), (sb, vb) = a[0], b[0]
     if sa == "const" and sb == "const":
-        return constant(float(_evaluate(op(name, a, b), np.zeros((1, 1)))[0]))
+        folded = evaluate_trees([op(name, a, b)], np.zeros((1, 1)))
+        return constant(float(folded[0, 0]))
     if name == "+":
         if sa == "const" and va == 0.0:
             return b

@@ -1,10 +1,13 @@
 """Test instruments with no caller in the package: an infix parser that
-reads ``gp_core.to_infix`` output back into a tree, and a gradient check
+reads ``gp_core.to_infix`` output back into a tree, the node-by-node tree
+evaluator that ``gp_core.evaluate_trees`` replaced, and a gradient check
 of ``neural._backprop`` against central finite differences.
 
 This is a helper module, not a test file: the round-trip tests read the
-shipped ``to_infix`` and ``export_lines`` back with ``parse_infix``, and
-the gradient tests check the shipped ``_backprop`` through ``gradients``.
+shipped ``to_infix`` and ``export_lines`` back with ``parse_infix``, the
+evaluation tests compare the shipped pass with ``_evaluate`` byte for
+byte, and the gradient tests check the shipped ``_backprop`` through
+``gradients``.
 """
 
 from __future__ import annotations
@@ -13,9 +16,25 @@ import re
 
 import numpy as np
 
-from gpdr.gp_core import Tree, constant, op, variable
+from gpdr.gp_core import _UFUNCS, Tree, _clamp, constant, op, variable
 from gpdr.neural import Mlp, _backprop
 from gpdr.numerics import mse
+
+
+def _evaluate(nodes: tuple, X: np.ndarray) -> np.ndarray:
+    """One tree on every row of ``X``, one numpy call and one ``_clamp`` per
+    operator node: the byte oracle of ``gp_core.evaluate_trees``."""
+    stack = []
+    for symbol, value in reversed(nodes):
+        if symbol == "var":
+            stack.append(X[:, value])
+        elif symbol == "const":
+            stack.append(np.full(X.shape[0], value))
+        else:
+            left = stack.pop()
+            stack.append(_clamp(_UFUNCS[symbol](left, stack.pop())))
+    return stack.pop()
+
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"

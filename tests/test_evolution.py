@@ -7,7 +7,12 @@ import pytest
 from gpdr.distances import pairwise_euclidean
 from gpdr import evolution
 from gpdr.evolution import GpRunConfig, _full_split_fitness, evolve
-from gpdr.fitness import FitnessSpec, SammonTarget, linear_scaling
+from gpdr.fitness import (
+    FitnessSpec,
+    SammonTarget,
+    genome_output,
+    linear_scaling,
+)
 from gpdr.gp_core import (
     AutoencoderMultiTree,
     MultiTree,
@@ -156,6 +161,33 @@ def test_evolve_best_fitness_is_full_split_value(objective, monkeypatch):
     form = (AutoencoderMultiTree if objective == "gp_autoencoder"
             else MultiTree)
     assert genome_types == {form} and type(res.best_genome) is form
+
+
+@pytest.mark.parametrize("objective",
+                         ["dist", "rank", "teacher", "gp_autoencoder"])
+def test_one_pass_scoring_matches_scoring_genome_by_genome(objective,
+                                                           monkeypatch):
+    # evolve scores each generation and re-scores the candidates through
+    # genome_outputs; the same run with each genome evaluated alone must
+    # agree, so an output handed to the wrong genome fails here
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 20)
+    rng = np.random.default_rng(10)
+    if objective == "teacher":
+        spec = _teacher_spec(rng)
+    else:
+        X = rng.normal(size=(50, 4))
+        metric = None if objective == "gp_autoencoder" else "euclidean"
+        spec = FitnessSpec(objective=objective, inputs=X, target=X[:, :3],
+                           metric=metric)
+    cfg = GpRunConfig(population=30, generations=4, k=2, seed=11)
+    shipped = evolve(spec, cfg)
+    monkeypatch.setattr(
+        evolution, "genome_outputs",
+        lambda genomes, spec, X: [genome_output(g, spec, X) for g in genomes])
+    alone = evolve(spec, cfg)
+    assert shipped.history == alone.history
+    assert shipped.best_fitness == alone.best_fitness
+    assert shipped.expressions == alone.expressions
 
 
 def test_expressions_reparse_to_best_genome(monkeypatch):

@@ -301,7 +301,17 @@ V1 = '{"format": "gpdr-run-record", "version": 1}\n'
     (V1 + "[1]\n", "record body is not a JSON object"),
     (V1 + '{"method": "pca", "k": 2, "run": 0, "balanced_accuracy": 0.5}\n',
      "record lacks reconstruction_error, expressions"),
-], ids=["version_2", "not_json", "empty_body", "list_body", "no_results"])
+    # the keys are there, but summarize cannot sort or average by them
+    (V1 + '{"method": "nope", "k": 2, "run": 0, "balanced_accuracy": 0.5, '
+          '"reconstruction_error": 1.5, "expressions": []}\n',
+     "record has unusable method='nope'"),
+    (V1 + '{"method": "pca", "k": 2, "run": 0, "balanced_accuracy": null, '
+          '"reconstruction_error": 1.5, "expressions": []}\n',
+     "record has unusable balanced_accuracy=None"),
+    (V1 + '{"method": "pca", "k": true, "run": "0", "error": "boom"}\n',
+     "record has unusable k=True, run='0'"),
+], ids=["version_2", "not_json", "empty_body", "list_body", "no_results",
+        "unknown_method", "null_metric", "bad_counts"])
 def test_cli_readers_report_an_unreadable_record(tmp_path, text, message):
     path = tmp_path / "records" / "pca_k2_run000.jsonl"
     path.parent.mkdir()
