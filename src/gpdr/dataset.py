@@ -87,7 +87,7 @@ def load_csv(path, label_column=None) -> Dataset:
 
     label_idx = None
     if label_column is not None:
-        if isinstance(label_column, int):
+        if type(label_column) is int:  # a bool is an int, yet no index
             label_idx = label_column
         elif label_column in names:
             label_idx = names.index(label_column)

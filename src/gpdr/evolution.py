@@ -15,14 +15,14 @@ from .dataset import BatchSampler
 from .fitness import (
     BatchContext,
     FitnessSpec,
-    genome_output,
-    genome_outputs,
+    check_form,
     linear_scaling,
     score_output,
 )
 from .gp_core import (
     AutoencoderMultiTree,
     export_lines,
+    genome_outputs,
     ramped_autoencoders,
     ramped_half_and_half,
 )
@@ -45,10 +45,11 @@ def _full_split_fitness(candidates, spec: FitnessSpec) -> list[float]:
     output.
     """
     t0 = time.perf_counter()
+    check_form(candidates, spec)
     ctx = BatchContext(spec)
     by_output: dict = {}
     fits = []
-    for out in genome_outputs(candidates, spec, ctx.X):
+    for out in genome_outputs(candidates, ctx.X):
         key = out.tobytes()
         if key not in by_output:
             by_output[key] = score_output(spec, ctx, out)
@@ -114,7 +115,7 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
         batch = sampler.next_batch(n)
         ctx = BatchContext(spec, batch)
         fits = [score_output(spec, ctx, out)
-                for out in genome_outputs(pop, spec, ctx.X)]
+                for out in genome_outputs(pop, ctx.X)]
         best_idx = int(np.argmin(fits))
         history.append(fits[best_idx])
         archive.append(pop[best_idx])
@@ -131,7 +132,7 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
     if isinstance(winner, AutoencoderMultiTree):
         # the decoder lines carry the linear scaling fitted on the whole
         # split, so evaluating them reproduces the full-split fitness
-        recon = genome_output(winner, spec, spec.inputs)
+        (recon,) = genome_outputs([winner], spec.inputs)
         fit = linear_scaling(spec.target, recon)
         expressions = export_lines(winner.encoder)
         expressions += [

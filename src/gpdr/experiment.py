@@ -8,7 +8,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .dataset import Dataset, load_csv, split, standardize
 from .evaluation import evaluate, mann_whitney_u, significance_stars
 from .evolution import GpRunConfig, RunResult, evolve
 from .fitness import FitnessSpec
-from .gp_core import encode
+from .gp_core import genome_outputs
 from .neural import latent as mlp_latent, train_autoencoder
 
 RECORD_FORMAT = "gpdr-run-record"
@@ -59,7 +59,7 @@ def _is_count(value, least: int) -> bool:
 @dataclass
 class ExperimentConfig:
     dataset_path: str
-    label_column: Optional[str] = None
+    label_column: Union[str, int, None] = None  # a name or a 0-based index
     k_list: Sequence[int] = (2, 3)
     methods: Sequence[str] = METHODS
     runs: int = 30
@@ -97,6 +97,10 @@ class ExperimentConfig:
             if not _is_count(value, least):
                 raise ExperimentError(
                     f"{name} must be an integer >= {least}, got {value!r}")
+        # YAML reads `label_column: yes` as True, which names no column
+        if type(self.label_column) not in (str, int, type(None)):
+            raise ExperimentError("label_column must be a column name or a "
+                                  f"0-based index, got {self.label_column!r}")
         if (not isinstance(self.dr_fraction, (int, float))
                 or not 0 < self.dr_fraction < 1):
             raise ExperimentError(
@@ -184,7 +188,7 @@ def run_single(
         # the autoencoder's latent is its encoder's output
         if objective == "gp_autoencoder":
             genome = genome.encoder
-        latent = encode(genome, held_X)
+        (latent,) = genome_outputs([genome], held_X)
 
     ev = evaluate(latent, held_labels, held_target, seed=seed,
                   decoder_epochs=cfg.decoder_epochs)

@@ -17,13 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .distances import geodesic, pairwise_euclidean
-from .gp_core import (
-    AutoencoderMultiTree,
-    MultiTree,
-    autoencode,
-    encode,
-    evaluate_trees,
-)
+from .gp_core import AutoencoderMultiTree, MultiTree
 from .numerics import mse
 
 ZERO_DISTANCE_TOL = 1e-12
@@ -354,55 +348,13 @@ class BatchContext:
             self.teacher = spec.teacher_latent[rows]
 
 
-def _encoder(genome, spec: FitnessSpec) -> MultiTree:
-    """The trees the objective evaluates first: the encoder of an AMT
-    genome for ``gp_autoencoder``, the MultiTree itself for the others."""
-    if spec.objective == "gp_autoencoder":
-        if not isinstance(genome, AutoencoderMultiTree):
-            raise FitnessError("gp_autoencoder requires an AMT genome")
-        return genome.encoder
-    if not isinstance(genome, MultiTree):
-        raise FitnessError(f"{spec.objective} requires a MultiTree")
-    return genome
-
-
-def genome_output(genome, spec: FitnessSpec, X: np.ndarray) -> np.ndarray:
-    """What the objective scores: the decoder output of an AMT genome for
-    ``gp_autoencoder``, the latent of a MultiTree for the others."""
-    mt = _encoder(genome, spec)
-    if spec.objective == "gp_autoencoder":
-        return autoencode(genome, X)[1]
-    return encode(mt, X)
-
-
-def _pass(mts: list, X: np.ndarray, column_offsets=None) -> np.ndarray:
-    """Every tree of every MultiTree in one ``evaluate_trees`` pass, one row
-    per tree; ``column_offsets`` holds one offset per MultiTree."""
-    trees = [t.nodes for mt in mts for t in mt.trees]
-    if column_offsets is not None:
-        column_offsets = np.repeat(column_offsets, [mt.k for mt in mts])
-    return evaluate_trees(trees, X, column_offsets)
-
-
-def genome_outputs(genomes, spec: FitnessSpec, X: np.ndarray):
-    """Yield ``genome_output`` of each genome in turn, with the same bytes,
-    from one evaluation pass over all their trees (two for
-    ``gp_autoencoder``: the encoders, then the decoders reading the stacked
-    latents)."""
-    mts = [_encoder(g, spec) for g in genomes]
-    if not mts:
-        return
-    rows = _pass(mts, X)
-    if spec.objective == "gp_autoencoder":
-        # variable j of genome g's decoder reads latent row starts[g] + j
-        starts = np.cumsum([0] + [mt.k for mt in mts[:-1]])
-        mts = [g.decoder for g in genomes]
-        rows = _pass(mts, rows.T, starts)
-    # each output a C-ordered (rows, k) copy, as encode returns it: numpy
-    # sums a column of an F-ordered array in another order, so linear
-    # scaling's column means would change in the last bits
-    for r in np.split(rows, np.cumsum([mt.k for mt in mts])[:-1]):
-        yield r.T.copy()
+def check_form(genomes, spec: FitnessSpec) -> None:
+    """The objective fixes the genome form: an AutoencoderMultiTree for
+    ``gp_autoencoder``, a MultiTree for the others."""
+    form = (AutoencoderMultiTree if spec.objective == "gp_autoencoder"
+            else MultiTree)
+    if not all(isinstance(g, form) for g in genomes):
+        raise FitnessError(f"{spec.objective} requires {form.__name__}s")
 
 
 def score_output(spec: FitnessSpec, ctx: BatchContext, out) -> float:
@@ -425,7 +377,3 @@ def score_output(spec: FitnessSpec, ctx: BatchContext, out) -> float:
         return WORST_FITNESS
     return value
 
-
-def score(genome, spec: FitnessSpec, ctx: BatchContext) -> float:
-    """Fitness of a genome on the rows of ``ctx``."""
-    return score_output(spec, ctx, genome_output(genome, spec, ctx.X))

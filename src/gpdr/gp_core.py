@@ -12,7 +12,8 @@ it is drawn, so a preorder index names the same node the draws made.
 Evaluation is vectorized over the rows of a matrix; every operator output
 is clamped to +/-1e12 and NaN is replaced by 0 so depth-7 polynomials
 cannot blow up on data tails. ``evaluate_trees`` evaluates many trees in
-one pass, by node height, with the bytes of a node-by-node walk.
+one pass, by node height, with the bytes of a node-by-node walk;
+``genome_outputs``, the one genome evaluator, runs it over many genomes.
 """
 
 from __future__ import annotations
@@ -259,25 +260,29 @@ def evaluate_trees(
     return out
 
 
-def encode(mt: MultiTree, X: np.ndarray) -> np.ndarray:
-    """Apply each tree row-wise; column j is tree j's output."""
+def genome_outputs(genomes: Sequence, X: np.ndarray):
+    """Yield each genome's (rows, k) output on the rows of ``X``: a
+    MultiTree's latent, or an AutoencoderMultiTree's decoder output. The
+    genomes share one form, and one ``evaluate_trees`` pass runs all their
+    trees; an autoencoder's decoders get a second, over the stacked latents.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != mt.input_arity:
-        raise EvalError(
-            f"input width {X.shape} does not match arity {mt.input_arity}"
-        )
-    return evaluate_trees([t.nodes for t in mt.trees], X).T.copy()
-
-
-def eval_tree_rows(t: Tree, X: np.ndarray) -> np.ndarray:
-    """Evaluate ``t`` on every row of ``X`` (n, arity) -> (n,)."""
-    return encode(MultiTree((t,)), X)[:, 0]
-
-
-def autoencode(amt: AutoencoderMultiTree, X: np.ndarray):
-    latent = encode(amt.encoder, X)
-    reconstruction = encode(amt.decoder, latent)
-    return latent, reconstruction
+    amt = bool(genomes) and isinstance(genomes[0], AutoencoderMultiTree)
+    mts = [g.encoder for g in genomes] if amt else genomes
+    if X.ndim != 2 or any(mt.input_arity != X.shape[1] for mt in mts):
+        raise EvalError(f"input shape {X.shape} does not match the arity")
+    rows = evaluate_trees([t.nodes for mt in mts for t in mt.trees], X)
+    if amt:
+        # variable j of genome g's decoder reads latent row starts[g] + j
+        starts = np.cumsum([0] + [mt.k for mt in mts[:-1]])
+        mts = [g.decoder for g in genomes]
+        rows = evaluate_trees([t.nodes for mt in mts for t in mt.trees],
+                              rows.T, np.repeat(starts, [mt.k for mt in mts]))
+    # C-ordered copies: numpy sums a column of an F-ordered array in another
+    # order, so linear scaling's column means would change in the last bits
+    ks = [mt.k for mt in mts]
+    for end, k in zip(np.cumsum(ks), ks):
+        yield rows[end - k:end].T.copy()
 
 
 def node_count(t: Tree) -> int:
@@ -365,8 +370,9 @@ def ramped_autoencoders(
 def _fold(name: str, a: tuple, b: tuple) -> tuple:
     (sa, va), (sb, vb) = a[0], b[0]
     if sa == "const" and sb == "const":
-        folded = evaluate_trees([op(name, a, b)], np.zeros((1, 1)))
-        return constant(float(folded[0, 0]))
+        # the operation and clamp an evaluation applies, so the same bits
+        return constant(float(_clamp(_UFUNCS[name](np.array([va]),
+                                                   np.array([vb])))[0]))
     if name == "+":
         if sa == "const" and va == 0.0:
             return b

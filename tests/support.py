@@ -1,7 +1,8 @@
 """Test instruments with no caller in the package: an infix parser that
 reads ``gp_core.to_infix`` output back into a tree, the node-by-node tree
-evaluator that ``gp_core.evaluate_trees`` replaced, and a gradient check
-of ``neural._backprop`` against central finite differences.
+evaluator that ``gp_core.evaluate_trees`` replaced, one-genome and one-tree
+shorthands for ``gp_core.genome_outputs``, and a gradient check of
+``neural._backprop`` against central finite differences.
 
 This is a helper module, not a test file: the round-trip tests read the
 shipped ``to_infix`` and ``export_lines`` back with ``parse_infix``, the
@@ -16,7 +17,16 @@ import re
 
 import numpy as np
 
-from gpdr.gp_core import _UFUNCS, Tree, _clamp, constant, op, variable
+from gpdr.gp_core import (
+    _UFUNCS,
+    MultiTree,
+    Tree,
+    _clamp,
+    constant,
+    genome_outputs,
+    op,
+    variable,
+)
 from gpdr.neural import Mlp, _backprop
 from gpdr.numerics import mse
 
@@ -34,6 +44,18 @@ def _evaluate(nodes: tuple, X: np.ndarray) -> np.ndarray:
             left = stack.pop()
             stack.append(_clamp(_UFUNCS[symbol](left, stack.pop())))
     return stack.pop()
+
+
+def output(genome, X: np.ndarray) -> np.ndarray:
+    """One genome's output on the rows of ``X``: its latent, or an
+    autoencoder's decoder output."""
+    (out,) = genome_outputs([genome], X)
+    return out
+
+
+def tree_rows(t: Tree, X: np.ndarray) -> np.ndarray:
+    """One tree's output on the rows of ``X``, shape (rows,)."""
+    return output(MultiTree((t,)), X)[:, 0]
 
 
 _TOKEN = re.compile(

@@ -28,10 +28,10 @@ from gpdr.evolution import GpRunConfig, evolve
 from gpdr.experiment import ExperimentConfig, ResultStore, run_experiment
 from gpdr.fitness import FitnessSpec, RankSweep, RankTargetCache, \
     SammonTarget
-from gpdr.gp_core import MultiTree, Tree, depth, encode, op, variable
+from gpdr.gp_core import MultiTree, Tree, depth, op, variable
 from gpdr.neural import _init_mlp
 from gpdr.variation import MAX_DEPTH
-from support import grad_check
+from support import grad_check, output
 
 REPO = Path(__file__).resolve().parents[1]
 SEGMENTATION = REPO / "data" / "segmentation.csv"
@@ -208,7 +208,7 @@ def test_criterion_6_planted_genome_recovery():
     planted = _planted_genome()
     rng = np.random.default_rng(42)
     X = rng.normal(size=(300, 5))
-    L = encode(planted, X)
+    L = output(planted, X)
     threshold = 0.1 * L.var()
     spec = FitnessSpec(objective="teacher", inputs=X, target=L,
                        teacher_latent=L)

@@ -61,6 +61,14 @@ def test_load_csv_label_index_given_as_digits(tmp_path):
             load_csv(p, label_column=bad)
 
 
+def test_load_csv_takes_no_bool_as_a_label_index(tmp_path):
+    # a bool is an int to isinstance: True once read column 1 as the label
+    p = _write(tmp_path, "a,b,c\n1,2,3\n4,5,6\n7,5,3\n")
+    for bad in (True, False):
+        with pytest.raises(IngestionError, match="no column named"):
+            load_csv(p, label_column=bad)
+
+
 def test_load_csv_errors(tmp_path):
     with pytest.raises(IngestionError):
         load_csv(tmp_path / "missing.csv")

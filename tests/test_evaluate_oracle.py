@@ -12,20 +12,19 @@ import numpy as np
 import pytest
 
 from gpdr import gp_core
-from gpdr.fitness import FitnessSpec, genome_output, genome_outputs
 from gpdr.gp_core import (
     CLAMP,
     EvalError,
     constant,
-    encode,
     evaluate_trees,
+    genome_outputs,
     op,
     ramped_autoencoders,
     ramped_half_and_half,
     variable,
 )
 from gpdr.variation import next_generation
-from support import _evaluate
+from support import _evaluate, output
 
 
 def _oracle(trees, X, column_offsets=None) -> np.ndarray:
@@ -60,10 +59,9 @@ def test_evolved_populations_match_the_walk(k):
     for scale in (1.0, 1e4, 1e9):
         X = rng.normal(size=(50, 5)) * scale
         assert _same(evaluate_trees(trees, X), _oracle(trees, X))
-    spec = FitnessSpec("dist", X, X, metric="euclidean")
-    for g, out in zip(pop, genome_outputs(pop, spec, X)):
+    for g, out in zip(pop, genome_outputs(pop, X)):
         want = np.column_stack([_evaluate(t.nodes, X) for t in g.trees])
-        assert _same(encode(g, X), want)
+        assert _same(output(g, X), want)
         # the layout too: numpy sums F-ordered columns in another order
         assert _same(out, want) and out.flags.c_contiguous
 
@@ -78,13 +76,12 @@ def test_decoders_read_offset_columns():
     offsets = [2 * i for i, g in enumerate(pop) for _ in g.decoder.trees]
     got = evaluate_trees(trees, latents.T, offsets)
     assert _same(got, _oracle(trees, latents.T, offsets))
-    spec = FitnessSpec("gp_autoencoder", X, X[:, :3])
-    for g, out in zip(pop, genome_outputs(pop, spec, X)):
+    for g, out in zip(pop, genome_outputs(pop, X)):
         lat = np.column_stack([_evaluate(t.nodes, X) for t in g.encoder.trees])
         want = np.column_stack([_evaluate(t.nodes, lat)
                                 for t in g.decoder.trees])
         assert _same(out, want) and out.flags.c_contiguous
-        assert _same(genome_output(g, spec, X), want)
+        assert _same(output(g, X), want)
 
 
 def test_single_terminals_and_an_operator_free_chunk():

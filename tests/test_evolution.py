@@ -8,24 +8,21 @@ from gpdr.distances import pairwise_euclidean
 from gpdr import evolution
 from gpdr.evolution import GpRunConfig, _full_split_fitness, evolve
 from gpdr.fitness import (
+    FitnessError,
     FitnessSpec,
     SammonTarget,
-    genome_output,
     linear_scaling,
 )
 from gpdr.gp_core import (
     AutoencoderMultiTree,
     MultiTree,
     Tree,
-    autoencode,
     depth,
-    encode,
-    eval_tree_rows,
     op,
     variable,
 )
 from gpdr.variation import MAX_DEPTH
-from support import parse_infix
+from support import output, parse_infix, tree_rows
 from test_fitness import weighted_kendall_tau_row
 
 
@@ -124,9 +121,9 @@ def _full_split_oracle(spec, genome) -> float:
     definition: Sammon stress, the mean of the O(m^2) per-row weighted tau,
     the linearly scaled reconstruction MSE, or the teacher MSE."""
     if spec.objective == "gp_autoencoder":
-        fit = linear_scaling(spec.target, autoencode(genome, spec.inputs)[1])
+        fit = linear_scaling(spec.target, output(genome, spec.inputs))
         return np.mean((fit.target_c - fit.fit_c) ** 2)
-    lat = encode(genome, spec.inputs)
+    lat = output(genome, spec.inputs)
     if spec.objective == "teacher":
         return np.mean((lat - spec.teacher_latent) ** 2)
     D, Dt = pairwise_euclidean(spec.target), pairwise_euclidean(lat)
@@ -168,8 +165,9 @@ def test_evolve_best_fitness_is_full_split_value(objective, monkeypatch):
 def test_one_pass_scoring_matches_scoring_genome_by_genome(objective,
                                                            monkeypatch):
     # evolve scores each generation and re-scores the candidates through
-    # genome_outputs; the same run with each genome evaluated alone must
-    # agree, so an output handed to the wrong genome fails here
+    # one genome_outputs pass over the population; the same run with each
+    # genome evaluated in a pass of its own must agree, so an output handed
+    # to the wrong genome fails here
     monkeypatch.setattr(evolution, "BATCH_SIZE", 20)
     rng = np.random.default_rng(10)
     if objective == "teacher":
@@ -183,7 +181,7 @@ def test_one_pass_scoring_matches_scoring_genome_by_genome(objective,
     shipped = evolve(spec, cfg)
     monkeypatch.setattr(
         evolution, "genome_outputs",
-        lambda genomes, spec, X: [genome_output(g, spec, X) for g in genomes])
+        lambda genomes, X: [output(g, X) for g in genomes])
     alone = evolve(spec, cfg)
     assert shipped.history == alone.history
     assert shipped.best_fitness == alone.best_fitness
@@ -200,8 +198,8 @@ def test_expressions_reparse_to_best_genome(monkeypatch):
         lhs, rhs = line.split(" = ", 1)
         assert lhs == f"X~{j}"
         t = parse_infix(rhs, spec.inputs.shape[1])
-        assert np.allclose(eval_tree_rows(t, X),
-                           eval_tree_rows(res.best_genome.trees[j], X),
+        assert np.allclose(tree_rows(t, X),
+                           tree_rows(res.best_genome.trees[j], X),
                            atol=1e-9)
 
 
@@ -236,7 +234,7 @@ def test_exported_autoencoder_lines_reproduce_train_fitness(monkeypatch):
         for j, line in enumerate(lines):
             lhs, rhs = line.split(" = ", 1)
             assert lhs == f"{prefix}{j}"
-            cols.append(eval_tree_rows(parse_infix(rhs, arity), rows))
+            cols.append(tree_rows(parse_infix(rhs, arity), rows))
         return np.column_stack(cols)
 
     latent = evaluate_lines("X~", 2, 4, X)
@@ -264,7 +262,7 @@ def test_evolve_dist_objective_identity_is_optimal(monkeypatch):
     res = evolve(spec, GpRunConfig(population=60, generations=10, k=2, seed=8))
     ident = MultiTree((Tree(variable(0), 2), Tree(variable(1), 2)))
     best_possible = SammonTarget(pairwise_euclidean(X)).stress(
-        pairwise_euclidean(encode(ident, X)))
+        pairwise_euclidean(output(ident, X)))
     assert best_possible == 0.0
     assert res.best_fitness < 0.5  # evolved stress is at least in range
 
@@ -286,3 +284,10 @@ def test_full_split_rescoring_logs_counts_at_debug(caplog):
         r"full-split re-scoring: 3 candidates, 2 distinct outputs, "
         r"(\d+\.\d{3}) s", record.getMessage())
     assert match and float(match.group(1)) >= 0.0
+
+
+def test_full_split_rescoring_refuses_a_genome_of_another_form():
+    X = np.random.default_rng(10).normal(size=(20, 3))
+    spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=X)
+    with pytest.raises(FitnessError, match="AutoencoderMultiTree"):
+        _full_split_fitness([MultiTree((Tree(variable(0), 3),))], spec)

@@ -136,6 +136,29 @@ def test_config_from_yaml(toy_csv, tmp_path):
     assert list(cfg.methods) == ["pca", "mt_teacher"]
 
 
+@pytest.mark.parametrize("value", ["yes", "no", "true", "1.5", "[label]"])
+def test_config_rejects_a_label_column_that_is_no_name_or_index(
+        toy_csv, tmp_path, value):
+    """YAML reads `yes` as True, which once made column 1 the label; a
+    label column is a name or a 0-based index."""
+    y = tmp_path / "cfg.yaml"
+    out = tmp_path / "results"
+    y.write_text(f"dataset_path: {toy_csv}\nlabel_column: {value}\n"
+                 f"runs: 1\nmethods: [pca]\nk_list: [2]\n"
+                 f"output_dir: {out}\n")
+    with pytest.raises(ExperimentError, match="label_column"):
+        ExperimentConfig.from_yaml(y)
+    r = CliRunner().invoke(main, ["run", "--config", str(y)])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert "error:" in r.output and "label_column" in r.output
+    assert not out.exists()
+    # a name, or an index as YAML reads it, stays a label column
+    for good in ("label", "4"):
+        y.write_text(f"dataset_path: {toy_csv}\nlabel_column: {good}\n")
+        assert ExperimentConfig.from_yaml(y).label_column in ("label", 4)
+
+
 def test_config_from_yaml_rejects_unknown_keys(toy_csv, tmp_path):
     y = tmp_path / "cfg.yaml"
     y.write_text(f"dataset_path: {toy_csv}\nruns: 2\npopulaton: 50\n"
@@ -360,18 +383,18 @@ def test_run_single_embeds_heldout_rows_with_the_encoder(
     cfg = _tiny_config(toy_csv, tmp_path, monkeypatch)
     enc = MultiTree((Tree(variable(0), 4), Tree(variable(2), 4)))
     dec = MultiTree((Tree(op("*", variable(0), variable(1)), 2),))
-    real_encode = experiment.encode
+    real_outputs = experiment.genome_outputs
     seen = {}
 
-    def encode_spy(genome, rows):
-        seen["genome"], seen["rows"] = genome, rows
-        return real_encode(genome, rows)
+    def outputs_spy(genomes, rows):
+        seen["genomes"], seen["rows"] = genomes, rows
+        return real_outputs(genomes, rows)
 
     def evaluate_spy(latent, *args, **kwargs):
         seen["latent"] = latent
         return EvaluationResult(0.5, 1.0, [0.5], [1.0])
 
-    monkeypatch.setattr(experiment, "encode", encode_spy)
+    monkeypatch.setattr(experiment, "genome_outputs", outputs_spy)
     monkeypatch.setattr(experiment, "evaluate", evaluate_spy)
     for method, genome in (("mt_dist_euclidean", enc),
                            ("amt_gp", AutoencoderMultiTree(enc, dec))):
@@ -380,7 +403,8 @@ def test_run_single_embeds_heldout_rows_with_the_encoder(
             lambda spec, gp_cfg: RunResult(genome, 0.0, [0.0], []))
         seen.clear()
         run_single(data, method, 2, 0, cfg)
-        assert seen["genome"] is enc
+        [genome] = seen["genomes"]
+        assert genome is enc
         assert seen["rows"].shape == (45, 4)  # the held-out half
         assert np.array_equal(seen["latent"], seen["rows"][:, [0, 2]])
 

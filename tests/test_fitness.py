@@ -12,8 +12,8 @@ from gpdr.fitness import (
     RankTargetCache,
     SammonTarget,
     _rank_weights,
+    check_form,
     linear_scaling,
-    score,
     score_output,
 )
 from gpdr.gp_core import (
@@ -25,6 +25,7 @@ from gpdr.gp_core import (
     variable,
 )
 from gpdr.numerics import NumericsError, mse
+from support import output
 
 
 def weighted_kendall_tau_row(d_row, dt_row) -> float:
@@ -298,13 +299,18 @@ def _identity_genome(p, k):
     return MultiTree(tuple(Tree(variable(j), p) for j in range(k)))
 
 
+def _score(genome, spec, ctx):
+    """A genome's fitness on the rows of ``ctx``, as evolve scores it."""
+    return score_output(spec, ctx, output(genome, ctx.X))
+
+
 def test_score_dist_objective_perfect_genome():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(20, 2))
     spec = FitnessSpec(objective="dist", inputs=X, target=X, metric="euclidean")
     ctx = BatchContext(spec, np.arange(20))
     # identity mapping preserves every distance exactly
-    assert score(_identity_genome(2, 2), spec, ctx) == 0.0
+    assert _score(_identity_genome(2, 2), spec, ctx) == 0.0
 
 
 def test_score_rank_objective_and_batch_slicing():
@@ -313,7 +319,7 @@ def test_score_rank_objective_and_batch_slicing():
     spec = FitnessSpec(objective="rank", inputs=X, target=X, metric="euclidean")
     batch = np.arange(0, 30, 2)
     ctx = BatchContext(spec, batch)
-    got = score(_identity_genome(3, 3), spec, ctx)
+    got = _score(_identity_genome(3, 3), spec, ctx)
     D = pairwise_euclidean(X[batch])
     assert np.isclose(got, -_mean_row_tau(D, D, weighted_kendall_tau_row),
                       atol=1e-12)
@@ -339,7 +345,7 @@ def test_rank_kernel_is_chosen_by_batch_or_whole_split():
         objective="rank", inputs=X[:5], target=X[:5], metric="euclidean")
     ).rank, RankSweep)
     # the two kernels agree up to rounding
-    assert np.isclose(score(g, spec, whole), score(g, spec, every_row),
+    assert np.isclose(_score(g, spec, whole), _score(g, spec, every_row),
                       atol=1e-12)
 
 
@@ -349,16 +355,22 @@ def test_score_teacher_and_autoencoder_objectives():
     spec = FitnessSpec(objective="teacher", inputs=X, target=X,
                        teacher_latent=X[:, :1])
     ctx = BatchContext(spec, np.arange(15))
-    assert score(_identity_genome(2, 1), spec, ctx) == 0.0
+    assert _score(_identity_genome(2, 1), spec, ctx) == 0.0
 
     amt = AutoencoderMultiTree(
         _identity_genome(2, 2), _identity_genome(2, 2)
     )
     spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=X)
     ctx = BatchContext(spec, np.arange(15))
-    assert score(amt, spec, ctx) == 0.0
-    with pytest.raises(FitnessError):
-        score(_identity_genome(2, 2), spec, ctx)
+    assert _score(amt, spec, ctx) == 0.0
+    # the objective fixes the genome form
+    check_form([amt, amt], spec)
+    with pytest.raises(FitnessError, match="AutoencoderMultiTree"):
+        check_form([amt, _identity_genome(2, 2)], spec)
+    teacher = FitnessSpec(objective="teacher", inputs=X, target=X,
+                          teacher_latent=X[:, :1])
+    with pytest.raises(FitnessError, match="MultiTree"):
+        check_form([amt], teacher)
 
 
 def _decoder_of(roots, k):
@@ -376,7 +388,7 @@ def test_score_autoencoder_scales_decoder_outputs():
     flat = AutoencoderMultiTree(
         _identity_genome(3, 3), _decoder_of([constant(0.7)] * 3, 3)
     )
-    assert np.isclose(score(flat, spec, ctx), X[batch].var(axis=0).mean(),
+    assert np.isclose(_score(flat, spec, ctx), X[batch].var(axis=0).mean(),
                       rtol=0.0, atol=1e-12)
     # an affine image of the target is scaled back onto it exactly
     affine = AutoencoderMultiTree(
@@ -384,7 +396,7 @@ def test_score_autoencoder_scales_decoder_outputs():
         _decoder_of([op("+", op("*", constant(3.0), variable(j)),
                         constant(2.0)) for j in range(3)], 3),
     )
-    assert np.isclose(score(affine, spec, ctx), 0.0, rtol=0.0, atol=1e-12)
+    assert np.isclose(_score(affine, spec, ctx), 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_linear_scaling_is_the_least_squares_fit():
@@ -418,8 +430,8 @@ def test_score_geodesic_metric_uses_geodesic_target():
     ctx_g = BatchContext(spec_g, np.arange(n))
     ctx_e = BatchContext(spec_e, np.arange(n))
     # identity genome matches Euclidean distances exactly but not geodesics
-    assert score(g, spec_e, ctx_e) == 0.0
-    assert score(g, spec_g, ctx_g) > 0.01
+    assert _score(g, spec_e, ctx_e) == 0.0
+    assert _score(g, spec_g, ctx_g) > 0.01
 
 
 def test_score_collapses_nonfinite_to_sentinel():
@@ -430,12 +442,13 @@ def test_score_collapses_nonfinite_to_sentinel():
     spec = FitnessSpec(objective="dist", inputs=X, target=X, metric="euclidean")
     ctx = BatchContext(spec, np.arange(3))
     const_genome = MultiTree((Tree(constant(0.0), 2),))
-    assert np.isfinite(score(const_genome, spec, ctx))
+    assert np.isfinite(_score(const_genome, spec, ctx))
     # the sentinel is used when the objective itself is non-finite
     bad = FitnessSpec(objective="teacher", inputs=X, target=X,
                       teacher_latent=np.full((3, 1), np.inf))
     ctx = BatchContext(bad, np.arange(3))
-    assert score(MultiTree((Tree(variable(0), 2),)), bad, ctx) == WORST_FITNESS
+    genome = MultiTree((Tree(variable(0), 2),))
+    assert _score(genome, bad, ctx) == WORST_FITNESS
 
 
 def _oracle_strip_diagonal(D):

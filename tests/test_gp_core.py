@@ -7,12 +7,10 @@ from gpdr.gp_core import (
     EvalError,
     MultiTree,
     Tree,
-    autoencode,
     constant,
     depth,
-    encode,
-    eval_tree_rows,
     export_lines,
+    genome_outputs,
     grow_tree,
     node_count,
     op,
@@ -22,7 +20,7 @@ from gpdr.gp_core import (
     to_infix,
     variable,
 )
-from support import ParseError, parse_infix
+from support import ParseError, output, parse_infix, tree_rows
 
 
 def _rand_tree(rng, arity=3, dmax=5):
@@ -31,17 +29,17 @@ def _rand_tree(rng, arity=3, dmax=5):
 
 def test_eval_basic_arithmetic():
     t = Tree(op("+", op("*", variable(0), variable(1)), constant(2.0)), 2)
-    assert eval_tree_rows(t, np.array([[3.0, 4.0]]))[0] == 14.0
+    assert tree_rows(t, np.array([[3.0, 4.0]]))[0] == 14.0
     X = np.array([[1.0, 2.0], [0.0, 5.0]])
-    assert np.allclose(eval_tree_rows(t, X), [4.0, 2.0])
+    assert np.allclose(tree_rows(t, X), [4.0, 2.0])
 
 
 def test_eval_clamps_blowups():
     big = constant(1e11)
     t = Tree(op("*", op("*", big, big), op("*", big, big)), 1)
-    assert eval_tree_rows(t, np.array([[0.0]]))[0] == CLAMP
+    assert tree_rows(t, np.array([[0.0]]))[0] == CLAMP
     t = Tree(op("-", constant(0.0), op("*", op("*", big, big), big)), 1)
-    assert eval_tree_rows(t, np.array([[0.0]]))[0] == -CLAMP
+    assert tree_rows(t, np.array([[0.0]]))[0] == -CLAMP
 
 
 def test_clamp_matches_nan_to_num_then_clip_bit_for_bit():
@@ -61,10 +59,15 @@ def test_clamp_matches_nan_to_num_then_clip_bit_for_bit():
 
 def test_eval_shape_errors():
     t = Tree(variable(0), 2)
-    with pytest.raises(EvalError):
-        eval_tree_rows(t, np.array([[1.0]]))
-    with pytest.raises(EvalError):
-        eval_tree_rows(t, np.zeros((3, 3)))
+    for X in (np.array([[1.0]]), np.zeros((3, 3)), np.zeros(2)):
+        with pytest.raises(EvalError, match="arity"):
+            tree_rows(t, X)
+    # one genome of the wrong arity refuses the whole pass
+    good = MultiTree((t,))
+    with pytest.raises(EvalError, match="arity"):
+        list(genome_outputs([good, MultiTree((Tree(variable(0), 3),))],
+                            np.zeros((4, 2))))
+    assert list(genome_outputs([], np.zeros((4, 2)))) == []
 
 
 def test_node_count_and_depth():
@@ -77,7 +80,7 @@ def test_node_count_and_depth():
 def test_multitree_encode_columns():
     mt = MultiTree((Tree(variable(0), 2), Tree(variable(1), 2)))
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(encode(mt, X), X)
+    assert np.array_equal(output(mt, X), X)
     assert mt.k == 2 and mt.input_arity == 2
 
 
@@ -86,9 +89,8 @@ def test_autoencoder_multitree():
     dec = MultiTree((Tree(variable(0), 1), Tree(op("-", constant(0.0), variable(0)), 1)))
     amt = AutoencoderMultiTree(enc, dec)
     X = np.array([[2.0, 9.0]])
-    lat, rec = autoencode(amt, X)
-    assert np.allclose(lat, [[2.0]])
-    assert np.allclose(rec, [[2.0, -2.0]])
+    assert np.allclose(output(enc, X), [[2.0]])
+    assert np.allclose(output(amt, X), [[2.0, -2.0]])
     with pytest.raises(EvalError):
         AutoencoderMultiTree(enc, MultiTree((Tree(variable(1), 2),)))
 
@@ -154,7 +156,7 @@ def test_simplify_preserves_semantics():
     for _ in range(40):
         t = _rand_tree(rng)
         s = simplify(t)
-        assert np.allclose(eval_tree_rows(t, X), eval_tree_rows(s, X),
+        assert np.allclose(tree_rows(t, X), tree_rows(s, X),
                            atol=1e-9)
 
 
@@ -177,15 +179,15 @@ def test_infix_round_trip_random_trees():
         t = Tree(grow_tree(4, 5, rng), 4)
         text = to_infix(t)
         back = parse_infix(text, 4)
-        assert np.allclose(eval_tree_rows(t, X), eval_tree_rows(back, X),
+        assert np.allclose(tree_rows(t, X), tree_rows(back, X),
                            atol=1e-12)
 
 
 def test_parse_infix_unary_minus_and_errors():
     t = parse_infix("-x0 + 2", 1)
-    assert eval_tree_rows(t, np.array([[3.0]]))[0] == -1.0
+    assert tree_rows(t, np.array([[3.0]]))[0] == -1.0
     t = parse_infix("-2.5", 1)
-    assert eval_tree_rows(t, np.array([[0.0]]))[0] == -2.5
+    assert tree_rows(t, np.array([[0.0]]))[0] == -2.5
     with pytest.raises(ParseError):
         parse_infix("x0 +", 1)
     with pytest.raises(ParseError):
@@ -212,5 +214,5 @@ def test_export_lines_with_scaling_keep_the_tree_grouped():
     wide = MultiTree((Tree(op("*", variable(0), variable(1)), 2),))
     (line,) = export_lines(wide, scaling=([0.0], [1e10]))
     X = np.array([[1e3, 1e-3]])
-    got = eval_tree_rows(parse_infix(line.split(" = ", 1)[1], 2), X)
+    got = tree_rows(parse_infix(line.split(" = ", 1)[1], 2), X)
     assert got[0] == 1e10
