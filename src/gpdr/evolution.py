@@ -116,6 +116,9 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
         ctx = BatchContext(spec, batch)
         fits = [score_output(spec, ctx, out)
                 for out in genome_outputs(pop, ctx.X)]
+        # released before the next generation's context or the full-split
+        # re-scoring is built, so two are never held at once
+        del ctx
         best_idx = int(np.argmin(fits))
         history.append(fits[best_idx])
         archive.append(pop[best_idx])

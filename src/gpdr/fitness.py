@@ -70,27 +70,95 @@ def _strip_diagonal(D: np.ndarray) -> np.ndarray:
     return D[~np.eye(n, dtype=bool)].reshape(n, n - 1)
 
 
+# the most (pair, row) elements a pair-cache temporary holds
+RANK_CHUNK_ELEMENTS = 2**16
+
+
+def _pair_runs(m: int, most: int) -> list[range]:
+    """The first members j of the pairs (j, l), l > j, of a row of m
+    entries, cut into runs of consecutive j. A run's pairs fill consecutive
+    slots in ``np.triu_indices`` order, and there are at most ``most`` of
+    them unless one j alone has more."""
+    starts, size = [], most
+    for j in range(m - 1):
+        if size + m - 1 - j > most:
+            starts.append(j)
+            size = 0
+        size += m - 1 - j
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [m - 1])]
+
+
+def _pairs(op, AT: np.ndarray, run: range, out: np.ndarray) -> np.ndarray:
+    """``op(AT[j], AT[l])`` for the pairs (j, l > j) whose first member is
+    in ``run``, one pair per row in ``np.triu_indices`` order, written to
+    the leading rows of ``out``; returns those rows."""
+    m = AT.shape[0]
+    p = 0
+    for j in run:
+        op(AT[j], AT[j + 1:], out=out[p:p + m - 1 - j])
+        p += m - 1 - j
+    return out[:p]
+
+
+def _add_rows(acc: np.ndarray, buf: np.ndarray, rows: int) -> np.ndarray:
+    """``acc`` plus rows 1..rows of ``buf``, added one row after another:
+    row 0 takes ``acc``, so summing over axis 0 continues the running sum."""
+    buf[0] = acc
+    return buf[:rows + 1].sum(axis=0)
+
+
 class RankTargetCache:
     """Per-batch precomputation shared by every genome in a generation.
 
-    Caches the original-distance pair signs and pair weights, so scoring a
-    genome only needs the latent-side pair signs.
+    Caches ``signed_w``, each original-distance pair weight times its pair
+    sign, as one C-ordered (pairs, rows) array, so scoring a genome only
+    needs the latent-side pair signs. Both are formed in chunks of pairs,
+    a first member j at a time from the contiguous rows of the transposed
+    distances, so no (rows, pairs) temporary is made.
+
+    The order of the floating-point operations fixes the records: each
+    row's pair products, and its pair weights, are summed one pair after
+    another in ``np.triu_indices`` order, from 0.0. That is how numpy sums
+    the F-ordered (rows, pairs) arrays that ``R[:, j]`` returns, and how
+    it sums a C-ordered (pairs, rows) chunk over axis 0, whose first row
+    here carries the running sum. A C-ordered (rows, pairs) array summed
+    over axis 1 would be summed pairwise, and the records would change.
     """
 
     def __init__(self, D: np.ndarray):
         R = _strip_diagonal(np.asarray(D, dtype=np.float64))
-        m = R.shape[1]
-        self.j, self.l = np.triu_indices(m, 1)
-        self.sign_d = np.sign(R[:, self.j] - R[:, self.l])
-        w = _rank_weights(R)
-        self.pair_w = w[:, self.j] + w[:, self.l]
-        self.total_w = self.pair_w.sum(axis=1)
+        n, m = R.shape
+        RT = np.ascontiguousarray(R.T)
+        wT = np.ascontiguousarray(_rank_weights(R).T)
+        most = max(1, RANK_CHUNK_ELEMENTS // n)
+        self.runs = _pair_runs(m, most)
+        # the largest run's pairs after the running-sum row
+        self.buf_shape = (1 + max(most, m - 1), n)
+        self.signed_w = np.empty((m * (m - 1) // 2, n))
+        self.total_w = np.zeros(n)
+        buf = np.empty(self.buf_shape)
+        p = 0
+        for run in self.runs:
+            signed = _pairs(np.subtract, RT, run, self.signed_w[p:])
+            np.sign(signed, out=signed)
+            pair_w = _pairs(np.add, wT, run, buf[1:])
+            self.total_w = _add_rows(self.total_w, buf, len(pair_w))
+            signed *= pair_w
+            p += len(signed)
 
     def mean_tau(self, D_tilde: np.ndarray) -> float:
-        Rt = _strip_diagonal(np.asarray(D_tilde, dtype=np.float64))
-        s = np.sign(Rt[:, self.j] - Rt[:, self.l])
-        taus = (self.pair_w * self.sign_d * s).sum(axis=1) / self.total_w
-        return float(taus.mean())
+        RtT = np.ascontiguousarray(
+            _strip_diagonal(np.asarray(D_tilde, dtype=np.float64)).T)
+        buf = np.empty(self.buf_shape)
+        num = np.zeros(self.total_w.size)
+        p = 0
+        for run in self.runs:
+            s = _pairs(np.subtract, RtT, run, buf[1:])
+            np.sign(s, out=s)
+            s *= self.signed_w[p:p + len(s)]
+            num = _add_rows(num, buf, len(s))
+            p += len(s)
+        return float((num / self.total_w).mean())
 
 
 def _latent_slots(T: np.ndarray):
@@ -101,19 +169,25 @@ def _latent_slots(T: np.ndarray):
     n, m = T.shape
     ord_t = np.argsort(T, axis=1, kind="stable")
     sv = np.take_along_axis(T, ord_t, axis=1)
-    idx = np.arange(m)
+    # differs[:, s]: sorted slots s and s + 1 hold different values
     differs = sv[:, 1:] != sv[:, :-1]
-    first = np.concatenate([np.ones((n, 1), bool), differs], axis=1)
-    last = np.concatenate([differs, np.ones((n, 1), bool)], axis=1)
-    lo_sorted = np.maximum.accumulate(np.where(first, idx, 0), axis=1)
-    hi_sorted = np.where(last, idx + 1, m)
-    hi_sorted = np.minimum.accumulate(hi_sorted[:, ::-1], axis=1)[:, ::-1]
+    del sv
+    idx = np.arange(m)
     bounds = np.empty((m, n, 2), dtype=np.intp)
     pos = np.empty((m, n), dtype=np.intp)
     ord_e = ord_t.T
     lanes = np.arange(n)
-    bounds[ord_e, lanes, 0] = lo_sorted.T
-    bounds[ord_e, lanes, 1] = hi_sorted.T
+    # one (n, m) buffer, in sorted slots, holds each bound in turn: the
+    # last run start at or before the slot, then the first run end after it
+    run = np.empty((n, m), dtype=np.intp)
+    run[:, :1] = 0
+    np.multiply(differs, idx[1:], out=run[:, 1:])
+    np.maximum.accumulate(run, axis=1, out=run)
+    bounds[ord_e, lanes, 0] = run.T
+    run.fill(m)
+    np.copyto(run[:, :-1], idx[1:], where=differs)
+    np.minimum.accumulate(run[:, ::-1], axis=1, out=run[:, ::-1])
+    bounds[ord_e, lanes, 1] = run.T
     pos[ord_e, lanes] = idx[:, None] + 1
     return bounds, pos
 
@@ -190,16 +264,16 @@ class RankSweep:
         base = np.arange(n)[:, None] * (m + 2)
         # what an insertion adds to each node on its path: a count of one
         # and the element's weight
-        step = np.empty((m, n, 1), dtype=np.complex128)
+        step = np.empty((n, 1), dtype=np.complex128)
         step.real = 1.0
-        step.imag = self.w_sorted.T[:, :, None]
         # what the upper query is taken from: the count and the weight of
         # the elements inserted before this one
-        seen = np.empty((m, n), dtype=np.complex128)
-        seen.real = np.arange(m)[:, None]
-        seen.imag = self.cum_w.T
+        seen = np.empty(n, dtype=np.complex128)
         num = np.zeros(n)
         for i in range(m):
+            step.imag[:, 0] = self.w_sorted[:, i]
+            seen.real = i
+            seen.imag = self.cum_w[:, i]
             # prefix sums below the element's value run (strictly smaller
             # latent distance) and up to its end (smaller or equal), added
             # node by node in path order
@@ -208,11 +282,11 @@ class RankSweep:
             for b in range(1, len(part)):
                 s += part[b]
             # the upper side becomes the count and weight above the run
-            s[:, 1] = seen[i] - s[:, 1]
+            s[:, 1] = seen - s[:, 1]
             cw = s.view(np.float64)
-            t = cw[:, 1::2] + step[i].imag * cw[:, 0::2]
+            t = cw[:, 1::2] + step.imag * cw[:, 0::2]
             num += t[:, 0] - t[:, 1]
-            nodes[self.update_paths.take(pos[i], axis=0) + base] += step[i]
+            nodes[self.update_paths.take(pos[i], axis=0) + base] += step
         corr = self._tie_corrections(T)
         np.subtract.at(num, self.tie_rows, corr)
         return num / self.total_w

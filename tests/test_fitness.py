@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gpdr import fitness
 from gpdr.distances import pairwise_euclidean
 from gpdr.evolution import BATCH_SIZE
 from gpdr.fitness import (
@@ -11,6 +14,7 @@ from gpdr.fitness import (
     RankSweep,
     RankTargetCache,
     SammonTarget,
+    _latent_slots,
     _rank_weights,
     check_form,
     linear_scaling,
@@ -332,12 +336,12 @@ def test_rank_kernel_is_chosen_by_batch_or_whole_split():
     spec = FitnessSpec(objective="rank", inputs=X, target=X, metric="euclidean")
     g = _identity_genome(3, 2)
     # a batch takes the pair cache, also a batch of every row; one of
-    # BATCH_SIZE rows holds m (m - 1) (m - 2) / 2 entries per array, m = 100
+    # BATCH_SIZE rows holds m (m - 1) (m - 2) / 2 signed weights, m = 100
     every_row = BatchContext(spec, np.arange(X.shape[0]))
     assert isinstance(every_row.rank, RankTargetCache)
     full_batch = BatchContext(spec, np.arange(BATCH_SIZE))
     assert isinstance(full_batch.rank, RankTargetCache)
-    assert full_batch.rank.sign_d.size == 100 * 99 * 98 // 2
+    assert full_batch.rank.signed_w.size == 100 * 99 * 98 // 2
     # the whole split takes the sweep, whatever its size
     whole = BatchContext(spec)
     assert isinstance(whole.rank, RankSweep)
@@ -588,3 +592,119 @@ def test_rank_sweep_matches_oracle_bytes(data):
                     == oracle.tau_per_row(Dt).tobytes())
     if data == "grid":
         assert large_groups > 0
+
+
+class _OracleRankCache:
+    """The pair cache as it stood before it was built and scored in chunks
+    of pairs, kept verbatim as the byte-level reference for
+    ``RankTargetCache``: ``R[:, j]`` gives F-ordered (rows, pairs) arrays,
+    so each row's pairs are summed one after another."""
+
+    def __init__(self, D):
+        R = _oracle_strip_diagonal(np.asarray(D, dtype=np.float64))
+        m = R.shape[1]
+        self.j, self.l = np.triu_indices(m, 1)
+        self.sign_d = np.sign(R[:, self.j] - R[:, self.l])
+        w = _rank_weights(R)
+        self.pair_w = w[:, self.j] + w[:, self.l]
+        self.total_w = self.pair_w.sum(axis=1)
+
+    def mean_tau(self, D_tilde):
+        Rt = _oracle_strip_diagonal(np.asarray(D_tilde, dtype=np.float64))
+        s = np.sign(Rt[:, self.j] - Rt[:, self.l])
+        taus = (self.pair_w * self.sign_d * s).sum(axis=1) / self.total_w
+        return float(taus.mean())
+
+
+@pytest.mark.parametrize("data", ["continuous", "grid", "duplicates"])
+@pytest.mark.parametrize("chunk", [fitness.RANK_CHUNK_ELEMENTS, 1],
+                         ids=["chunk-default", "chunk-one-member"])
+def test_rank_cache_matches_oracle_bytes(data, chunk, monkeypatch):
+    # a chunk of one element puts each first member j in a run of its own,
+    # as a j with more pairs than the default chunk holds would be
+    monkeypatch.setattr(fitness, "RANK_CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(12)
+    # one run of pairs (3, 7, 26 rows), and several: a batch of BATCH_SIZE
+    # rows and one above it
+    for n in (3, 7, 26, 100, 120):
+        X, latents = _rank_inputs(rng, data, n)
+        D = pairwise_euclidean(X)
+        cache, oracle = RankTargetCache(D), _OracleRankCache(D)
+        assert cache.total_w.tobytes() == oracle.total_w.tobytes()
+        for L in latents:
+            Dt = pairwise_euclidean(L)
+            got, want = cache.mean_tau(Dt), oracle.mean_tau(Dt)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _oracle_latent_slots(T):
+    """``_latent_slots`` as it stood before its run bounds shared one
+    buffer, kept verbatim as the integer reference."""
+    n, m = T.shape
+    ord_t = np.argsort(T, axis=1, kind="stable")
+    sv = np.take_along_axis(T, ord_t, axis=1)
+    idx = np.arange(m)
+    differs = sv[:, 1:] != sv[:, :-1]
+    first = np.concatenate([np.ones((n, 1), bool), differs], axis=1)
+    last = np.concatenate([differs, np.ones((n, 1), bool)], axis=1)
+    lo_sorted = np.maximum.accumulate(np.where(first, idx, 0), axis=1)
+    hi_sorted = np.where(last, idx + 1, m)
+    hi_sorted = np.minimum.accumulate(hi_sorted[:, ::-1], axis=1)[:, ::-1]
+    bounds = np.empty((m, n, 2), dtype=np.intp)
+    pos = np.empty((m, n), dtype=np.intp)
+    ord_e = ord_t.T
+    lanes = np.arange(n)
+    bounds[ord_e, lanes, 0] = lo_sorted.T
+    bounds[ord_e, lanes, 1] = hi_sorted.T
+    pos[ord_e, lanes] = idx[:, None] + 1
+    return bounds, pos
+
+
+def test_latent_slots_match_oracle():
+    rng = np.random.default_rng(13)
+    for n in range(3, 201):
+        # rounded latent distances make long runs of equal values
+        L = rng.normal(size=(n, 2)) * rng.uniform(0.1, 3.0)
+        T = _oracle_strip_diagonal(np.round(pairwise_euclidean(L)))
+        # and some rows are one run
+        T[rng.random(n) < 0.2] = 1.0
+        bounds, pos = _latent_slots(T)
+        want_bounds, want_pos = _oracle_latent_slots(T)
+        assert np.array_equal(bounds, want_bounds)
+        assert np.array_equal(pos, want_pos)
+
+
+def _traced(fn):
+    """Bytes ``fn()`` leaves allocated and its peak, both above what was
+    allocated when it was called, as numpy reports them to tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
+
+
+def test_rank_cache_memory():
+    # A: one (pairs, rows) float64 array for a batch of 100 rows
+    A = 99 * 98 // 2 * 100 * 8
+    rng = np.random.default_rng(14)
+    D = pairwise_euclidean(rng.normal(size=(100, 4)))
+    Dt = pairwise_euclidean(rng.normal(size=(100, 2)))
+    cache, held, peak = _traced(lambda: RankTargetCache(D))
+    assert held <= 1.1 * A
+    assert peak < 2 * A
+    _, _, peak = _traced(lambda: cache.mean_tau(Dt))
+    assert peak < 0.75 * A
+
+
+def test_rank_sweep_memory():
+    # n = 315, the DR-train rows of the rank bench workload
+    rng = np.random.default_rng(15)
+    D = pairwise_euclidean(rng.normal(size=(315, 4)))
+    Dt = pairwise_euclidean(rng.normal(size=(315, 2)))
+    sweep = RankSweep(D)
+    _, _, peak = _traced(lambda: sweep.tau_per_row(Dt))
+    assert peak < 6 * 2**20
