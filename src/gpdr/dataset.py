@@ -1,6 +1,4 @@
-"""CSV ingestion, standardization, stratified splitting and mini-batch
-sampling.
-"""
+"""CSV ingestion, standardization and stratified splitting."""
 
 from __future__ import annotations
 
@@ -185,23 +183,3 @@ def split(labels: np.ndarray, dr_fraction: float,
             f"n={len(labels)}"
         )
     return train, held
-
-
-@dataclass
-class BatchSampler:
-    """Per-generation mini-batch index source. Single-owner mutable state."""
-
-    batch_size: int
-    seed: int
-
-    def __post_init__(self):
-        self._rng = np.random.default_rng(self.seed)
-
-    def next_batch(self, source_size: int) -> np.ndarray:
-        if source_size < 1:
-            raise IngestionError("source_size must be >= 1")
-        if self.batch_size >= source_size:
-            return np.arange(source_size)
-        return np.sort(
-            self._rng.choice(source_size, size=self.batch_size, replace=False)
-        )

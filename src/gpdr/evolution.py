@@ -5,20 +5,11 @@ the final full-split re-scoring.
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import BatchSampler
-from .fitness import (
-    BatchContext,
-    FitnessSpec,
-    check_form,
-    linear_scaling,
-    score_output,
-)
+from .fitness import BatchContext, FitnessSpec, linear_scaling
 from .gp_core import (
     AutoencoderMultiTree,
     export_lines,
@@ -28,37 +19,9 @@ from .gp_core import (
 )
 from .variation import next_generation
 
-log = logging.getLogger(__name__)
-
 # the rows of each generation's mini-batch; the whole split when it is
 # smaller
 BATCH_SIZE = 100
-
-
-def _full_split_fitness(candidates, spec: FitnessSpec) -> list[float]:
-    """Fitness of every candidate on the whole DR-train split.
-
-    The objectives depend on the genome only through its output on the
-    split, so candidates with identical outputs (converged populations are
-    full of them) are scored once. This matters most for the rank
-    objective, whose full-split evaluation is O(n^2 log n) per distinct
-    output.
-    """
-    t0 = time.perf_counter()
-    check_form(candidates, spec)
-    ctx = BatchContext(spec)
-    by_output: dict = {}
-    fits = []
-    for out in genome_outputs(candidates, ctx.X):
-        key = out.tobytes()
-        if key not in by_output:
-            by_output[key] = score_output(spec, ctx, out)
-        fits.append(by_output[key])
-    log.debug(
-        "full-split re-scoring: %d candidates, %d distinct outputs, %.3f s",
-        len(candidates), len(by_output), time.perf_counter() - t0,
-    )
-    return fits
 
 
 @dataclass
@@ -91,14 +54,7 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
     ``audit_hook(gen, pop, fits)``, if given, sees every scored generation.
     """
     rng = np.random.default_rng(cfg.seed)
-    n = spec.inputs.shape[0]
-    p = spec.inputs.shape[1]
-    if spec.objective == "rank" and min(BATCH_SIZE, n) < 3:
-        # a batch of 2 rows has no pair weight: every genome would score NaN
-        raise ValueError(
-            f"objective 'rank' needs batches of at least 3 rows, got "
-            f"{min(BATCH_SIZE, n)}"
-        )
+    n, p = spec.inputs.shape
 
     if spec.objective == "gp_autoencoder":
         pop = ramped_autoencoders(
@@ -107,18 +63,16 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
     else:
         pop = ramped_half_and_half(cfg.population, p, cfg.k, rng)
 
-    sampler = BatchSampler(batch_size=BATCH_SIZE, seed=int(rng.integers(2**63)))
+    batches = np.random.default_rng(int(rng.integers(2**63)))
     history: list[float] = []
     archive: list = []
 
     for gen in range(cfg.generations):
-        batch = sampler.next_batch(n)
-        ctx = BatchContext(spec, batch)
-        fits = [score_output(spec, ctx, out)
-                for out in genome_outputs(pop, ctx.X)]
-        # released before the next generation's context or the full-split
-        # re-scoring is built, so two are never held at once
-        del ctx
+        rows = (np.arange(n) if BATCH_SIZE >= n else np.sort(
+            batches.choice(n, size=BATCH_SIZE, replace=False)))
+        # freed at the end of the statement, before the next context or
+        # the full-split one is built, so two are never held at once
+        fits = BatchContext(spec, rows).score(pop)
         best_idx = int(np.argmin(fits))
         history.append(fits[best_idx])
         archive.append(pop[best_idx])
@@ -128,7 +82,7 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
 
     # final winner: full DR-train re-scoring of archive + final population
     candidates = archive + pop
-    full_fits = _full_split_fitness(candidates, spec)
+    full_fits = BatchContext(spec).score(candidates)
     winner_idx = int(np.argmin(full_fits))
     winner = candidates[winner_idx]
 

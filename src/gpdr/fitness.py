@@ -11,14 +11,18 @@ Latent-side distances are always Euclidean.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .distances import geodesic, pairwise_euclidean
-from .gp_core import AutoencoderMultiTree, MultiTree
+from .gp_core import AutoencoderMultiTree, MultiTree, genome_outputs
 from .numerics import mse
+
+log = logging.getLogger(__name__)
 
 ZERO_DISTANCE_TOL = 1e-12
 WORST_FITNESS = float("inf")
@@ -394,60 +398,84 @@ class FitnessSpec:
 
 
 class BatchContext:
-    """Target-side state for scoring genome outputs on a set of DR-train
-    rows: a mini-batch, or the whole split when ``indices`` is None."""
+    """The one scorer of genome outputs, on a set of DR-train rows: a
+    mini-batch, or the whole split when ``indices`` is None.
+
+    The constructor builds the objective's target side, ``target``, once.
+    The scoring closure holds that local, never the context, so a context
+    is freed by reference counting as soon as its caller drops it.
+    """
 
     def __init__(self, spec: FitnessSpec, indices=None):
         whole = indices is None
         rows = slice(None) if whole else np.asarray(indices)
         self.X = spec.inputs[rows]
-        self.target = spec.target[rows]
-        self.D = None
-        self.sammon = None
-        self.rank = None
-        self.teacher = None
+        self.objective = spec.objective
+        self.form = (AutoencoderMultiTree if spec.objective == "gp_autoencoder"
+                     else MultiTree)
         if spec.objective in ("dist", "rank"):
-            self.D = spec.full_distance_matrix()
+            D = spec.full_distance_matrix()
             if not whole:
-                self.D = self.D[np.ix_(rows, rows)]
+                D = D[np.ix_(rows, rows)]
         if spec.objective == "dist":
-            self.sammon = SammonTarget(self.D)
-        if spec.objective == "rank":
+            target = SammonTarget(D)
+
+            def objective(out):
+                return target.stress(pairwise_euclidean(out))
+        elif spec.objective == "rank":
+            if len(D) < 3:
+                # 2 rows have no pair weight: every output would score NaN
+                raise FitnessError(
+                    f"objective 'rank' needs at least 3 rows, got {len(D)}")
             # a batch (at most evolution.BATCH_SIZE rows) fits the pair
             # cache, which holds rows x pairs arrays; the whole split takes
             # the Fenwick sweep. The two kernels round differently, so this
             # rule fixes the records.
-            self.rank = RankSweep(self.D) if whole else RankTargetCache(self.D)
-        if spec.objective == "teacher":
-            self.teacher = spec.teacher_latent[rows]
+            target = RankSweep(D) if whole else RankTargetCache(D)
 
-
-def check_form(genomes, spec: FitnessSpec) -> None:
-    """The objective fixes the genome form: an AutoencoderMultiTree for
-    ``gp_autoencoder``, a MultiTree for the others."""
-    form = (AutoencoderMultiTree if spec.objective == "gp_autoencoder"
-            else MultiTree)
-    if not all(isinstance(g, form) for g in genomes):
-        raise FitnessError(f"{spec.objective} requires {form.__name__}s")
-
-
-def score_output(spec: FitnessSpec, ctx: BatchContext, out) -> float:
-    """Objective value of a genome output on the rows of ``ctx``;
-    non-finite outcomes collapse to the worst-possible sentinel instead of
-    aborting the run."""
-    try:
-        if spec.objective == "dist":
-            value = ctx.sammon.stress(pairwise_euclidean(out))
-        elif spec.objective == "rank":
-            value = -ctx.rank.mean_tau(pairwise_euclidean(out))
+            def objective(out):
+                return -target.mean_tau(pairwise_euclidean(out))
         elif spec.objective == "teacher":
-            value = mse(ctx.teacher, out)
-        else:
-            fit = linear_scaling(ctx.target, out)
-            value = mse(fit.target_c, fit.fit_c)
-    except FloatingPointError:
-        return WORST_FITNESS
-    if not np.isfinite(value):
-        return WORST_FITNESS
-    return value
+            target = spec.teacher_latent[rows]
 
+            def objective(out):
+                return mse(target, out)
+        else:
+            target = spec.target[rows]
+
+            def objective(out):
+                fit = linear_scaling(target, out)
+                return mse(fit.target_c, fit.fit_c)
+        self.target = target
+        self._objective = objective
+
+    def value(self, out: np.ndarray) -> float:
+        """Objective value of one genome output on the rows; non-finite
+        outcomes collapse to the worst-possible sentinel instead of
+        aborting the run."""
+        try:
+            value = self._objective(out)
+        except FloatingPointError:
+            return WORST_FITNESS
+        return value if np.isfinite(value) else WORST_FITNESS
+
+    def score(self, genomes) -> list[float]:
+        """``value`` of each genome's output, once per distinct output:
+        converged populations are full of repeats, and the whole-split rank
+        sweep costs O(n^2 log n) per output. The objective fixes the genome
+        form, so a genome of another form is refused."""
+        if not all(isinstance(g, self.form) for g in genomes):
+            raise FitnessError(
+                f"{self.objective} requires {self.form.__name__}s")
+        t0 = time.perf_counter()
+        by_output: dict = {}
+        fits = []
+        for out in genome_outputs(genomes, self.X):
+            key = out.tobytes()
+            if key not in by_output:
+                by_output[key] = self.value(out)
+            fits.append(by_output[key])
+        log.debug("scored %d genomes on %d rows: %d distinct outputs, "
+                  "%.3f s", len(genomes), len(self.X), len(by_output),
+                  time.perf_counter() - t0)
+        return fits

@@ -5,9 +5,11 @@ output capture).
 Criteria 7, 8 and 10 read desk-scale sweeps on the Segmentation dataset.
 Criterion 7 runs its sweep afresh into a temporary directory on every
 invocation (about two minutes on two workers), so it scores the records
-the current code writes. Criteria 8 and 10 read the committed records
-under ``tests/_acceptance_cache`` and never write there; the ten
-rank-geodesic runs of criterion 8 would take up to about half an hour.
+the current code writes. Criterion 10 recomputes two of those runs in
+this process (the one-worker path) and requires the same records.
+Criteria 8 and 10 also read the committed records under
+``tests/_acceptance_cache`` and never write there; the ten rank-geodesic
+runs of criterion 8 would take up to about half an hour.
 The criterion-8 canary recomputes one of those records, ``amt_gp`` k=2
 run000 (about 15 s), and requires it equal to the committed one.
 """
@@ -25,7 +27,12 @@ from gpdr.dataset import load_csv
 from gpdr.distances import geodesic, pairwise_euclidean
 from gpdr.evaluation import mann_whitney_u
 from gpdr.evolution import GpRunConfig, evolve
-from gpdr.experiment import ExperimentConfig, ResultStore, run_experiment
+from gpdr.experiment import (
+    ExperimentConfig,
+    ResultStore,
+    run_experiment,
+    run_single,
+)
 from gpdr.fitness import FitnessSpec, RankSweep, RankTargetCache, \
     SammonTarget
 from gpdr.gp_core import MultiTree, Tree, depth, op, variable
@@ -264,13 +271,26 @@ def _stripped_records(store):
     return out
 
 
-def test_criterion_10_sweep_determinism(c7_cached):
+def test_criterion_10_sweep_determinism(c7_cached, c7_store, tmp_path):
     first = _stripped_records(c7_cached)
     second = _stripped_records(ResultStore.load(CACHE / "c7_repeat"))
     same = len(first) == len(second) == 10 and first == second
-    _report(10, same,
-            f"{len(first)} and {len(second)} records, byte-identical "
-            f"across sweeps: {first == second}")
+    # runs 0 and 9 again, in this process (the workers=1 path), must write
+    # what criterion 7's fresh workers=2 sweep wrote
+    swept = _stripped_records(c7_store)
+    cfg = _desk_config(["mt_dist_euclidean"], 3, tmp_path)
+    data = load_csv(cfg.dataset_path, label_column=cfg.label_column)
+    # each through a JSON round trip, as a record file makes
+    serial = _stripped_records(ResultStore(tmp_path, [
+        json.loads(json.dumps(run_single(data, "mt_dist_euclidean", 3, run,
+                                         cfg)))
+        for run in (0, 9)]))
+    fresh = len(swept) == 10 and all(swept.get(key) == serial[key]
+                                     for key in serial)
+    _report(10, same and fresh,
+            f"{len(first)} and {len(second)} cached records, byte-identical "
+            f"across sweeps: {first == second}; fresh runs 0 and 9 with 1 "
+            f"and 2 workers equal: {fresh}")
 
 
 # -- criterion 8: reconstruction ordering, autoencoder vs rank-geodesic ------

@@ -6,7 +6,6 @@ import pytest
 
 from gpdr.baselines import pca_target
 from gpdr.dataset import (
-    BatchSampler,
     Dataset,
     IngestionError,
     Standardizer,
@@ -272,14 +271,3 @@ def test_pca_target_retains_requested_variance():
 def test_pca_target_rejects_zero_variance():
     with pytest.raises(IngestionError):
         pca_target(np.ones((5, 3)), 0.99)
-
-
-def test_batch_sampler_draws_distinct_sorted_indices():
-    s = BatchSampler(batch_size=10, seed=6)
-    b = s.next_batch(50)
-    assert b.shape == (10,)
-    assert len(np.unique(b)) == 10
-    assert np.all(np.diff(b) > 0)
-    assert not np.array_equal(b, s.next_batch(50))
-    # full set when the source is smaller than the batch
-    assert np.array_equal(s.next_batch(7), np.arange(7))

@@ -1,13 +1,16 @@
+import gc
 import logging
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from gpdr.distances import pairwise_euclidean
 from gpdr import evolution
-from gpdr.evolution import GpRunConfig, _full_split_fitness, evolve
+from gpdr.evolution import GpRunConfig, evolve
 from gpdr.fitness import (
+    BatchContext,
     FitnessError,
     FitnessSpec,
     SammonTarget,
@@ -275,19 +278,85 @@ def test_full_split_rescoring_logs_counts_at_debug(caplog):
     a = MultiTree((Tree(variable(0), 3), Tree(variable(1), 3)))
     b = MultiTree((Tree(variable(0), 3), Tree(variable(2), 3)))
     same_as_a = MultiTree((Tree(variable(0), 3), Tree(variable(1), 3)))
-    with caplog.at_level(logging.DEBUG, logger="gpdr.evolution"):
-        fits = _full_split_fitness([a, b, same_as_a], spec)
+    with caplog.at_level(logging.DEBUG, logger="gpdr.fitness"):
+        fits = BatchContext(spec).score([a, b, same_as_a])
     assert fits[0] == fits[2]
-    [record] = [r for r in caplog.records if r.name == "gpdr.evolution"]
+    [record] = [r for r in caplog.records if r.name == "gpdr.fitness"]
     assert record.levelno == logging.DEBUG
     match = re.fullmatch(
-        r"full-split re-scoring: 3 candidates, 2 distinct outputs, "
+        r"scored 3 genomes on 30 rows: 2 distinct outputs, "
         r"(\d+\.\d{3}) s", record.getMessage())
     assert match and float(match.group(1)) >= 0.0
+    # an evolve logs each generation's batch and then the re-scoring
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="gpdr.fitness"):
+        evolve(spec, GpRunConfig(population=6, generations=3, seed=1))
+    rows = [re.match(r"scored (\d+) genomes on (\d+) rows", r.getMessage())
+            .groups() for r in caplog.records if r.name == "gpdr.fitness"]
+    assert rows == [("6", "30")] * 3 + [("9", "30")]
 
 
 def test_full_split_rescoring_refuses_a_genome_of_another_form():
     X = np.random.default_rng(10).normal(size=(20, 3))
     spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=X)
     with pytest.raises(FitnessError, match="AutoencoderMultiTree"):
-        _full_split_fitness([MultiTree((Tree(variable(0), 3),))], spec)
+        BatchContext(spec).score([MultiTree((Tree(variable(0), 3),))])
+
+
+def test_batch_draws_distinct_sorted_indices(monkeypatch):
+    """Each generation scores a fresh sorted batch of distinct rows, or
+    every row when the split is smaller than BATCH_SIZE."""
+    batches = []
+
+    class Recorded(BatchContext):
+        def __init__(self, spec, indices=None):
+            super().__init__(spec, indices)
+            batches.append(indices)
+
+    monkeypatch.setattr(evolution, "BatchContext", Recorded)
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 10)
+    spec = _teacher_spec(np.random.default_rng(11), n=50)
+    evolve(spec, GpRunConfig(population=6, generations=3, seed=2))
+    *drawn, whole = batches
+    assert whole is None and len(drawn) == 3
+    for b in drawn:
+        assert b.shape == (10,)
+        assert len(np.unique(b)) == 10
+        assert np.all(np.diff(b) > 0)
+    assert not np.array_equal(drawn[0], drawn[1])
+    # every row when the split is smaller than the batch
+    batches.clear()
+    spec = _teacher_spec(np.random.default_rng(11), n=7)
+    evolve(spec, GpRunConfig(population=6, generations=2, seed=2))
+    assert all(np.array_equal(b, np.arange(7)) for b in batches[:-1])
+
+
+def test_one_batch_context_is_alive_at_a_time(monkeypatch):
+    """Each context is freed by reference counting before the next one is
+    built, so two rank pair caches are never held at once. The collector
+    is off, so a context caught in a reference cycle would stay alive."""
+    live, seen = [0], []
+
+    def freed():
+        live[0] -= 1
+
+    class Counted(BatchContext):
+        def __init__(self, spec, indices=None):
+            super().__init__(spec, indices)
+            live[0] += 1
+            seen.append(live[0])
+            weakref.finalize(self, freed)
+
+    monkeypatch.setattr(evolution, "BatchContext", Counted)
+    monkeypatch.setattr(evolution, "BATCH_SIZE", 20)
+    X = np.random.default_rng(12).normal(size=(40, 3))
+    spec = FitnessSpec(objective="rank", inputs=X, target=X,
+                       metric="euclidean")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        evolve(spec, GpRunConfig(population=10, generations=4, seed=3))
+    finally:
+        if enabled:
+            gc.enable()
+    assert seen == [1] * 5 and live[0] == 0

@@ -16,9 +16,7 @@ from gpdr.fitness import (
     SammonTarget,
     _latent_slots,
     _rank_weights,
-    check_form,
     linear_scaling,
-    score_output,
 )
 from gpdr.gp_core import (
     AutoencoderMultiTree,
@@ -26,6 +24,8 @@ from gpdr.gp_core import (
     Tree,
     constant,
     op,
+    ramped_autoencoders,
+    ramped_half_and_half,
     variable,
 )
 from gpdr.numerics import NumericsError, mse
@@ -184,17 +184,19 @@ def test_sammon_through_context_matches_oracle_bytes(batch):
     spec = FitnessSpec(objective="dist", inputs=X, target=X @ np.eye(4)[:, :3],
                        metric="euclidean")
     ctx = BatchContext(spec, batch)
+    D = spec.full_distance_matrix()
+    if batch is not None:
+        D = D[np.ix_(batch, batch)]
     rng = np.random.default_rng(18)
     for _ in range(20):
         out = rng.normal(size=(ctx.X.shape[0], 2))
-        got = score_output(spec, ctx, out)
-        want = _sammon_stress_oracle(ctx.D, pairwise_euclidean(out))
+        got = ctx.value(out)
+        want = _sammon_stress_oracle(D, pairwise_euclidean(out))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert SammonTarget(ctx.D).stress(pairwise_euclidean(out)) == want
+        assert SammonTarget(D).stress(pairwise_euclidean(out)) == want
     # a constant latent scores too
     out = np.zeros((ctx.X.shape[0], 2))
-    assert score_output(spec, ctx, out) == _sammon_stress_oracle(
-        ctx.D, pairwise_euclidean(out))
+    assert ctx.value(out) == _sammon_stress_oracle(D, pairwise_euclidean(out))
 
 
 def test_sammon_keeps_its_errors():
@@ -203,7 +205,7 @@ def test_sammon_keeps_its_errors():
                        metric="euclidean")
     ctx = BatchContext(spec, np.arange(4))
     with pytest.raises(FitnessError, match="degenerate target"):
-        score_output(spec, ctx, np.ones((4, 1)))
+        ctx.value(np.ones((4, 1)))
     with pytest.raises(FitnessError, match="degenerate target"):
         SammonTarget(np.zeros((4, 4))).stress(np.zeros((4, 4)))
     D = pairwise_euclidean(_duplicated_rows(19)[:6])
@@ -282,7 +284,7 @@ def test_pointwise_objectives():
         mse(L, L[:1])
     spec = FitnessSpec(objective="teacher", inputs=L, target=L,
                        teacher_latent=L)
-    assert score_output(spec, BatchContext(spec), L + 1.0) == 1.0
+    assert BatchContext(spec).value(L + 1.0) == 1.0
 
 
 def test_fitness_spec_validation():
@@ -303,9 +305,9 @@ def _identity_genome(p, k):
     return MultiTree(tuple(Tree(variable(j), p) for j in range(k)))
 
 
-def _score(genome, spec, ctx):
-    """A genome's fitness on the rows of ``ctx``, as evolve scores it."""
-    return score_output(spec, ctx, output(genome, ctx.X))
+def _score(genome, ctx):
+    """A genome's fitness on the rows of ``ctx``, from its output alone."""
+    return ctx.value(output(genome, ctx.X))
 
 
 def test_score_dist_objective_perfect_genome():
@@ -314,7 +316,7 @@ def test_score_dist_objective_perfect_genome():
     spec = FitnessSpec(objective="dist", inputs=X, target=X, metric="euclidean")
     ctx = BatchContext(spec, np.arange(20))
     # identity mapping preserves every distance exactly
-    assert _score(_identity_genome(2, 2), spec, ctx) == 0.0
+    assert _score(_identity_genome(2, 2), ctx) == 0.0
 
 
 def test_score_rank_objective_and_batch_slicing():
@@ -323,7 +325,7 @@ def test_score_rank_objective_and_batch_slicing():
     spec = FitnessSpec(objective="rank", inputs=X, target=X, metric="euclidean")
     batch = np.arange(0, 30, 2)
     ctx = BatchContext(spec, batch)
-    got = _score(_identity_genome(3, 3), spec, ctx)
+    got = _score(_identity_genome(3, 3), ctx)
     D = pairwise_euclidean(X[batch])
     assert np.isclose(got, -_mean_row_tau(D, D, weighted_kendall_tau_row),
                       atol=1e-12)
@@ -338,18 +340,18 @@ def test_rank_kernel_is_chosen_by_batch_or_whole_split():
     # a batch takes the pair cache, also a batch of every row; one of
     # BATCH_SIZE rows holds m (m - 1) (m - 2) / 2 signed weights, m = 100
     every_row = BatchContext(spec, np.arange(X.shape[0]))
-    assert isinstance(every_row.rank, RankTargetCache)
+    assert isinstance(every_row.target, RankTargetCache)
     full_batch = BatchContext(spec, np.arange(BATCH_SIZE))
-    assert isinstance(full_batch.rank, RankTargetCache)
-    assert full_batch.rank.signed_w.size == 100 * 99 * 98 // 2
+    assert isinstance(full_batch.target, RankTargetCache)
+    assert full_batch.target.signed_w.size == 100 * 99 * 98 // 2
     # the whole split takes the sweep, whatever its size
     whole = BatchContext(spec)
-    assert isinstance(whole.rank, RankSweep)
+    assert isinstance(whole.target, RankSweep)
     assert isinstance(BatchContext(FitnessSpec(
         objective="rank", inputs=X[:5], target=X[:5], metric="euclidean")
-    ).rank, RankSweep)
+    ).target, RankSweep)
     # the two kernels agree up to rounding
-    assert np.isclose(_score(g, spec, whole), _score(g, spec, every_row),
+    assert np.isclose(_score(g, whole), _score(g, every_row),
                       atol=1e-12)
 
 
@@ -359,22 +361,22 @@ def test_score_teacher_and_autoencoder_objectives():
     spec = FitnessSpec(objective="teacher", inputs=X, target=X,
                        teacher_latent=X[:, :1])
     ctx = BatchContext(spec, np.arange(15))
-    assert _score(_identity_genome(2, 1), spec, ctx) == 0.0
+    assert _score(_identity_genome(2, 1), ctx) == 0.0
 
     amt = AutoencoderMultiTree(
         _identity_genome(2, 2), _identity_genome(2, 2)
     )
     spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=X)
     ctx = BatchContext(spec, np.arange(15))
-    assert _score(amt, spec, ctx) == 0.0
+    assert _score(amt, ctx) == 0.0
     # the objective fixes the genome form
-    check_form([amt, amt], spec)
+    assert ctx.score([amt, amt]) == [0.0, 0.0]
     with pytest.raises(FitnessError, match="AutoencoderMultiTree"):
-        check_form([amt, _identity_genome(2, 2)], spec)
+        ctx.score([amt, _identity_genome(2, 2)])
     teacher = FitnessSpec(objective="teacher", inputs=X, target=X,
                           teacher_latent=X[:, :1])
     with pytest.raises(FitnessError, match="MultiTree"):
-        check_form([amt], teacher)
+        BatchContext(teacher, np.arange(15)).score([amt])
 
 
 def _decoder_of(roots, k):
@@ -392,7 +394,7 @@ def test_score_autoencoder_scales_decoder_outputs():
     flat = AutoencoderMultiTree(
         _identity_genome(3, 3), _decoder_of([constant(0.7)] * 3, 3)
     )
-    assert np.isclose(_score(flat, spec, ctx), X[batch].var(axis=0).mean(),
+    assert np.isclose(_score(flat, ctx), X[batch].var(axis=0).mean(),
                       rtol=0.0, atol=1e-12)
     # an affine image of the target is scaled back onto it exactly
     affine = AutoencoderMultiTree(
@@ -400,7 +402,7 @@ def test_score_autoencoder_scales_decoder_outputs():
         _decoder_of([op("+", op("*", constant(3.0), variable(j)),
                         constant(2.0)) for j in range(3)], 3),
     )
-    assert np.isclose(_score(affine, spec, ctx), 0.0, rtol=0.0, atol=1e-12)
+    assert np.isclose(_score(affine, ctx), 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_linear_scaling_is_the_least_squares_fit():
@@ -434,8 +436,8 @@ def test_score_geodesic_metric_uses_geodesic_target():
     ctx_g = BatchContext(spec_g, np.arange(n))
     ctx_e = BatchContext(spec_e, np.arange(n))
     # identity genome matches Euclidean distances exactly but not geodesics
-    assert _score(g, spec_e, ctx_e) == 0.0
-    assert _score(g, spec_g, ctx_g) > 0.01
+    assert _score(g, ctx_e) == 0.0
+    assert _score(g, ctx_g) > 0.01
 
 
 def test_score_collapses_nonfinite_to_sentinel():
@@ -446,13 +448,37 @@ def test_score_collapses_nonfinite_to_sentinel():
     spec = FitnessSpec(objective="dist", inputs=X, target=X, metric="euclidean")
     ctx = BatchContext(spec, np.arange(3))
     const_genome = MultiTree((Tree(constant(0.0), 2),))
-    assert np.isfinite(_score(const_genome, spec, ctx))
+    assert np.isfinite(_score(const_genome, ctx))
     # the sentinel is used when the objective itself is non-finite
     bad = FitnessSpec(objective="teacher", inputs=X, target=X,
                       teacher_latent=np.full((3, 1), np.inf))
     ctx = BatchContext(bad, np.arange(3))
     genome = MultiTree((Tree(variable(0), 2),))
-    assert _score(genome, bad, ctx) == WORST_FITNESS
+    assert _score(genome, ctx) == WORST_FITNESS
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["batch", "whole"])
+@pytest.mark.parametrize("objective, metric", [
+    ("dist", "euclidean"), ("dist", "geodesic"), ("rank", "euclidean"),
+    ("rank", "geodesic"), ("teacher", None), ("gp_autoencoder", None)])
+def test_score_equals_each_output_scored_alone(objective, metric, whole):
+    """Scoring a distinct output once gives every genome the bits its own
+    output scores, repeats included."""
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(40, 4))
+    spec = FitnessSpec(objective, X, X[:, :3], metric=metric,
+                       teacher_latent=X[:, :2] if objective == "teacher"
+                       else None, n_neighbors=5)
+    if objective == "gp_autoencoder":
+        base = ramped_autoencoders(12, 4, 2, 3, rng)
+    else:
+        base = ramped_half_and_half(12, 4, 2, rng)
+    pop = base + base[::2] + [base[0]]
+    pop = [pop[i] for i in rng.permutation(len(pop))]
+    ctx = BatchContext(spec, None if whole else
+                       np.sort(rng.choice(40, size=15, replace=False)))
+    want = [ctx.value(output(g, ctx.X)) for g in pop]
+    assert np.array(ctx.score(pop)).tobytes() == np.array(want).tobytes()
 
 
 def _oracle_strip_diagonal(D):
