@@ -328,6 +328,7 @@ def test_batch_draws_distinct_sorted_indices(monkeypatch):
     batches.clear()
     spec = _teacher_spec(np.random.default_rng(11), n=7)
     evolve(spec, GpRunConfig(population=6, generations=2, seed=2))
+    assert len(batches) == 3 and batches[-1] is None
     assert all(np.array_equal(b, np.arange(7)) for b in batches[:-1])
 
 
