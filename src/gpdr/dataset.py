@@ -68,7 +68,7 @@ def load_csv(path, label_column=None) -> Dataset:
     try:
         with open(path, newline="") as f:
             rows = [r for r in csv.reader(f) if r]
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise IngestionError(f"cannot read {path}: {e}") from e
     if not rows:
         raise IngestionError(f"{path}: empty file")

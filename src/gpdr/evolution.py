@@ -46,12 +46,11 @@ class RunResult:
     expressions: list[str]
 
 
-def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
+def evolve(spec: FitnessSpec, cfg: GpRunConfig) -> RunResult:
     """Run ``cfg.generations`` of score-all -> next_generation on fresh
     mini-batches of ``BATCH_SIZE`` rows; the winner is the best full-split
     fitness over the final population plus the archive of per-generation
     batch-best genomes.
-    ``audit_hook(gen, pop, fits)``, if given, sees every scored generation.
     """
     rng = np.random.default_rng(cfg.seed)
     n, p = spec.inputs.shape
@@ -67,7 +66,7 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
     history: list[float] = []
     archive: list = []
 
-    for gen in range(cfg.generations):
+    for _ in range(cfg.generations):
         rows = (np.arange(n) if BATCH_SIZE >= n else np.sort(
             batches.choice(n, size=BATCH_SIZE, replace=False)))
         # freed at the end of the statement, before the next context or
@@ -76,8 +75,6 @@ def evolve(spec: FitnessSpec, cfg: GpRunConfig, audit_hook=None) -> RunResult:
         best_idx = int(np.argmin(fits))
         history.append(fits[best_idx])
         archive.append(pop[best_idx])
-        if audit_hook is not None:
-            audit_hook(gen, pop, fits)
         pop = next_generation(pop, fits, rng)
 
     # final winner: full DR-train re-scoring of archive + final population

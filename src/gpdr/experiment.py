@@ -117,8 +117,11 @@ class ExperimentConfig:
         not None in place of the file's key."""
         import yaml
 
-        with open(path) as f:
-            raw = yaml.safe_load(f) or {}
+        try:
+            with open(path) as f:
+                raw = yaml.safe_load(f) or {}
+        except (yaml.YAMLError, UnicodeDecodeError) as e:
+            raise ExperimentError(f"{path}: not a YAML config: {e}") from e
         if not isinstance(raw, dict):
             raise ExperimentError(f"{path}: not a mapping of config keys")
         unknown = sorted(set(raw) - {fld.name for fld in fields(cls)})
@@ -243,6 +246,8 @@ def read_record(path: Path) -> dict:
             record = json.loads(f.readline())
         except json.JSONDecodeError as e:
             raise ExperimentError(f"{path}: not JSON: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ExperimentError(f"{path}: not text: {e}") from e
     if not isinstance(record, dict):
         raise ExperimentError(f"{path}: record body is not a JSON object")
     # the keys the readers index; a failed run's record holds its error

@@ -1,4 +1,4 @@
-"""Expression-tree genomes: construction, vectorized evaluation, size
+"""Expression-tree genomes: construction, vectorized evaluation, depth
 accounting and human-readable export.
 
 A tree is a flat tuple of ``(symbol, value)`` node pairs in preorder:
@@ -57,24 +57,16 @@ def op(name: str, left: tuple, right: tuple) -> tuple:
 
 
 @dataclass(frozen=True)
-class Tree:
-    nodes: tuple  # (symbol, value) pairs in preorder
-    input_arity: int
-
-
-@dataclass(frozen=True)
 class MultiTree:
-    """k trees over the same input; tree j produces latent dimension j."""
+    """k preorder trees over the same ``input_arity`` input columns; tree j
+    produces latent dimension j."""
 
-    trees: tuple[Tree, ...]
+    trees: tuple[tuple, ...]
+    input_arity: int
 
     @property
     def k(self) -> int:
         return len(self.trees)
-
-    @property
-    def input_arity(self) -> int:
-        return self.trees[0].input_arity
 
 
 @dataclass(frozen=True)
@@ -271,13 +263,13 @@ def genome_outputs(genomes: Sequence, X: np.ndarray):
     mts = [g.encoder for g in genomes] if amt else genomes
     if X.ndim != 2 or any(mt.input_arity != X.shape[1] for mt in mts):
         raise EvalError(f"input shape {X.shape} does not match the arity")
-    rows = evaluate_trees([t.nodes for mt in mts for t in mt.trees], X)
+    rows = evaluate_trees([t for mt in mts for t in mt.trees], X)
     if amt:
         # variable j of genome g's decoder reads latent row starts[g] + j
         starts = np.cumsum([0] + [mt.k for mt in mts[:-1]])
         mts = [g.decoder for g in genomes]
-        rows = evaluate_trees([t.nodes for mt in mts for t in mt.trees],
-                              rows.T, np.repeat(starts, [mt.k for mt in mts]))
+        rows = evaluate_trees([t for mt in mts for t in mt.trees], rows.T,
+                              np.repeat(starts, [mt.k for mt in mts]))
     # C-ordered copies: numpy sums a column of an F-ordered array in another
     # order, so linear scaling's column means would change in the last bits
     ks = [mt.k for mt in mts]
@@ -285,12 +277,8 @@ def genome_outputs(genomes: Sequence, X: np.ndarray):
         yield rows[end - k:end].T.copy()
 
 
-def node_count(t: Tree) -> int:
-    return len(t.nodes)
-
-
-def depth(t: Tree) -> int:
-    return max(node_depths(t.nodes))
+def depth(nodes: tuple) -> int:
+    return max(node_depths(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +333,8 @@ def ramped_half_and_half(
         use_full = (i // len(depths)) % 2 == 0
         depth_min = d if use_full else DEPTH_MIN
         pop.append(MultiTree(tuple(
-            Tree(grow_tree(input_arity, d, rng, depth_min), input_arity)
-            for _ in range(k_trees)
-        )))
+            grow_tree(input_arity, d, rng, depth_min) for _ in range(k_trees)
+        ), input_arity))
     return pop
 
 
@@ -391,11 +378,10 @@ def _fold(name: str, a: tuple, b: tuple) -> tuple:
     return op(name, a, b)
 
 
-def simplify(t: Tree) -> Tree:
+def simplify(nodes: tuple) -> tuple:
     """Semantics-preserving cleanup: constant folding plus +/-0 and *1/*0
     identity removal."""
-    nodes = _reduce(t.nodes, lambda s, v: ((s, v),), _fold)
-    return Tree(nodes, t.input_arity)
+    return _reduce(nodes, lambda s, v: ((s, v),), _fold)
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
@@ -429,11 +415,11 @@ def _to_infix(nodes: tuple) -> tuple[str, int]:
     return _reduce(nodes, leaf, combine)
 
 
-def to_infix(t: Tree) -> str:
+def to_infix(nodes: tuple) -> str:
     """Parenthesized ASCII infix of the simplified tree. Input column j
     prints as ``xj``, and a constant at full (round-trip) precision, as
     ``repr`` prints it."""
-    return _to_infix(simplify(t).nodes)[0]
+    return _to_infix(simplify(nodes))[0]
 
 
 def export_lines(

@@ -18,7 +18,6 @@ from .gp_core import (
     MAX_DEPTH,
     AutoencoderMultiTree,
     MultiTree,
-    Tree,
     _random_operator,
     _random_terminal,
     depth,
@@ -63,25 +62,17 @@ def same_index_crossover(
         raise ValueError("parents must share tree count and arity")
     out_a, out_b = [], []
     for ta, tb in zip(a.trees, b.trees):
-        if rng.random() >= p_c:
-            out_a.append(ta)
-            out_b.append(tb)
-            continue
-        a_nodes, b_nodes = ta.nodes, tb.nodes
-        ia = int(rng.integers(len(a_nodes)))
-        ib = int(rng.integers(len(b_nodes)))
-        ea, eb = subtree_end(a_nodes, ia), subtree_end(b_nodes, ib)
-        child_a = Tree(a_nodes[:ia] + b_nodes[ib:eb] + a_nodes[ea:],
-                       ta.input_arity)
-        child_b = Tree(b_nodes[:ib] + a_nodes[ia:ea] + b_nodes[eb:],
-                       tb.input_arity)
-        if depth(child_a) > MAX_DEPTH or depth(child_b) > MAX_DEPTH:
-            out_a.append(ta)
-            out_b.append(tb)
-        else:
-            out_a.append(child_a)
-            out_b.append(child_b)
-    return MultiTree(tuple(out_a)), MultiTree(tuple(out_b))
+        if rng.random() < p_c:
+            ia, ib = int(rng.integers(len(ta))), int(rng.integers(len(tb)))
+            ea, eb = subtree_end(ta, ia), subtree_end(tb, ib)
+            child_a = ta[:ia] + tb[ib:eb] + ta[ea:]
+            child_b = tb[:ib] + ta[ia:ea] + tb[eb:]
+            if depth(child_a) <= MAX_DEPTH and depth(child_b) <= MAX_DEPTH:
+                ta, tb = child_a, child_b
+        out_a.append(ta)
+        out_b.append(tb)
+    return (MultiTree(tuple(out_a), a.input_arity),
+            MultiTree(tuple(out_b), b.input_arity))
 
 
 def subtree_mutation(
@@ -95,13 +86,10 @@ def subtree_mutation(
         if rng.random() >= p_s:
             out.append(t)
             continue
-        nodes = t.nodes
-        idx = int(rng.integers(len(nodes)))
-        budget = MAX_DEPTH - node_depths(nodes)[idx]
-        fresh = grow_tree(t.input_arity, budget, rng)
-        out.append(Tree(nodes[:idx] + fresh + nodes[subtree_end(nodes, idx):],
-                        t.input_arity))
-    return MultiTree(tuple(out))
+        idx = int(rng.integers(len(t)))
+        fresh = grow_tree(mt.input_arity, MAX_DEPTH - node_depths(t)[idx], rng)
+        out.append(t[:idx] + fresh + t[subtree_end(t, idx):])
+    return MultiTree(tuple(out), mt.input_arity)
 
 
 def one_point_mutation(
@@ -116,15 +104,13 @@ def one_point_mutation(
         if rng.random() >= p_o:
             out.append(t)
             continue
-        nodes = t.nodes
-        idx = int(rng.integers(len(nodes)))
-        if nodes[idx][0] in FUNCTION_SET:
+        idx = int(rng.integers(len(t)))
+        if t[idx][0] in FUNCTION_SET:
             replacement = _random_operator(rng)
         else:
-            replacement = _random_terminal(t.input_arity, rng)
-        out.append(Tree(nodes[:idx] + (replacement,) + nodes[idx + 1:],
-                        t.input_arity))
-    return MultiTree(tuple(out))
+            replacement = _random_terminal(mt.input_arity, rng)
+        out.append(t[:idx] + (replacement,) + t[idx + 1:])
+    return MultiTree(tuple(out), mt.input_arity)
 
 
 def _vary_pair(pa, pb, rng: np.random.Generator):

@@ -1,8 +1,9 @@
 """Test instruments with no caller in the package: an infix parser that
 reads ``gp_core.to_infix`` output back into a tree, the node-by-node tree
 evaluator that ``gp_core.evaluate_trees`` replaced, one-genome and one-tree
-shorthands for ``gp_core.genome_outputs``, and a gradient check of
-``neural._backprop`` against central finite differences.
+shorthands for ``gp_core.genome_outputs``, a recorder of the generations
+``evolution.evolve`` varies, and a gradient check of ``neural._backprop``
+against central finite differences.
 
 This is a helper module, not a test file: the round-trip tests read the
 shipped ``to_infix`` and ``export_lines`` back with ``parse_infix``, the
@@ -17,10 +18,10 @@ import re
 
 import numpy as np
 
+from gpdr import evolution
 from gpdr.gp_core import (
     _UFUNCS,
     MultiTree,
-    Tree,
     _clamp,
     constant,
     genome_outputs,
@@ -53,9 +54,23 @@ def output(genome, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def tree_rows(t: Tree, X: np.ndarray) -> np.ndarray:
+def tree_rows(nodes: tuple, X: np.ndarray) -> np.ndarray:
     """One tree's output on the rows of ``X``, shape (rows,)."""
-    return output(MultiTree((t,)), X)[:, 0]
+    return output(MultiTree((nodes,), X.shape[1]), X)[:, 0]
+
+
+def record_generations(monkeypatch) -> list:
+    """A list that gets each generation's ``(pop, fits)`` as ``evolve``
+    hands them to ``next_generation``, which then runs as before."""
+    seen = []
+    vary = evolution.next_generation
+
+    def recorded(pop, fits, rng):
+        seen.append((pop, fits))
+        return vary(pop, fits, rng)
+
+    monkeypatch.setattr(evolution, "next_generation", recorded)
+    return seen
 
 
 _TOKEN = re.compile(
@@ -69,8 +84,8 @@ class ParseError(ValueError):
     pass
 
 
-def parse_infix(text: str, input_arity: int) -> Tree:
-    """Parse the output of ``gp_core.to_infix`` back into a tree.
+def parse_infix(text: str, input_arity: int) -> tuple:
+    """Parse the output of ``gp_core.to_infix`` back into a preorder tree.
 
     Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := ['-'] (number | name | '(' expr ')').
@@ -146,7 +161,7 @@ def parse_infix(text: str, input_arity: int) -> Tree:
     nodes = expr()
     if peek()[0] != "end":
         raise ParseError(f"trailing input: {tokens[i:]}")
-    return Tree(nodes, input_arity)
+    return nodes
 
 
 def gradients(m: Mlp, X: np.ndarray, Y: np.ndarray):

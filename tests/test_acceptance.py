@@ -35,10 +35,10 @@ from gpdr.experiment import (
 )
 from gpdr.fitness import FitnessSpec, RankSweep, RankTargetCache, \
     SammonTarget
-from gpdr.gp_core import MultiTree, Tree, depth, op, variable
+from gpdr.gp_core import MultiTree, depth, op, variable
 from gpdr.neural import _init_mlp
 from gpdr.variation import MAX_DEPTH
-from support import grad_check, output
+from support import grad_check, output, record_generations
 
 REPO = Path(__file__).resolve().parents[1]
 SEGMENTATION = REPO / "data" / "segmentation.csv"
@@ -207,7 +207,7 @@ def _planted_genome() -> MultiTree:
             variable(3))
     t2 = op("-", op("+", op("-", variable(4), variable(1)), variable(3)),
             variable(0))
-    return MultiTree((Tree(t1, 5), Tree(t2, 5)))
+    return MultiTree((t1, t2), 5)
 
 
 def test_criterion_6_planted_genome_recovery():
@@ -328,7 +328,7 @@ def test_criterion_8_canary_recomputes_a_cached_record(tmp_path):
 # -- criterion 9: invariant audit over a full desk-scale run ------------------
 
 
-def test_criterion_9_invariant_audit():
+def test_criterion_9_invariant_audit(monkeypatch):
     data = load_csv(str(SEGMENTATION), label_column="target")
     rng = np.random.default_rng(109)
     idx = rng.choice(data.features.shape[0], size=400, replace=False)
@@ -337,9 +337,13 @@ def test_criterion_9_invariant_audit():
     spec = FitnessSpec(objective="dist", inputs=X, target=X,
                        metric="euclidean")
 
+    seen = record_generations(monkeypatch)
+    cfg = GpRunConfig(population=200, generations=30, k=3, seed=1)
+    evolve(spec, cfg)
     violations = []
-
-    def audit_hook(gen, pop, fits):
+    if len(seen) != 30:
+        violations.append(f"{len(seen)} generations varied")
+    for gen, (pop, fits) in enumerate(seen):
         if len(pop) != 200:
             violations.append(f"gen {gen}: population size {len(pop)}")
         for g in pop:
@@ -348,9 +352,6 @@ def test_criterion_9_invariant_audit():
         for f in fits:
             if np.isnan(f):
                 violations.append(f"gen {gen}: NaN fitness")
-
-    cfg = GpRunConfig(population=200, generations=30, k=3, seed=1)
-    evolve(spec, cfg, audit_hook=audit_hook)
     _report(9, not violations,
             "no violations over 30 generations x 200 genomes"
             if not violations else "; ".join(violations[:3]))

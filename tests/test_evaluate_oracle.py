@@ -54,13 +54,13 @@ def _same(got: np.ndarray, want: np.ndarray) -> bool:
 def test_evolved_populations_match_the_walk(k):
     rng = np.random.default_rng([11, k])
     pop = _evolved(rng, 40, 5, k, rounds=4)
-    trees = [t.nodes for g in pop for t in g.trees]
+    trees = [t for g in pop for t in g.trees]
     # wide scales drive products into the clamp
     for scale in (1.0, 1e4, 1e9):
         X = rng.normal(size=(50, 5)) * scale
         assert _same(evaluate_trees(trees, X), _oracle(trees, X))
     for g, out in zip(pop, genome_outputs(pop, X)):
-        want = np.column_stack([_evaluate(t.nodes, X) for t in g.trees])
+        want = np.column_stack([_evaluate(t, X) for t in g.trees])
         assert _same(output(g, X), want)
         # the layout too: numpy sums F-ordered columns in another order
         assert _same(out, want) and out.flags.c_contiguous
@@ -70,15 +70,15 @@ def test_decoders_read_offset_columns():
     rng = np.random.default_rng(12)
     pop = _evolved(rng, 30, 4, 2, rounds=3, autoencoder=True)
     X = rng.normal(size=(40, 4)) * 100.0
-    latents = evaluate_trees([t.nodes for g in pop for t in g.encoder.trees],
+    latents = evaluate_trees([t for g in pop for t in g.encoder.trees],
                              X)
-    trees = [t.nodes for g in pop for t in g.decoder.trees]
+    trees = [t for g in pop for t in g.decoder.trees]
     offsets = [2 * i for i, g in enumerate(pop) for _ in g.decoder.trees]
     got = evaluate_trees(trees, latents.T, offsets)
     assert _same(got, _oracle(trees, latents.T, offsets))
     for g, out in zip(pop, genome_outputs(pop, X)):
-        lat = np.column_stack([_evaluate(t.nodes, X) for t in g.encoder.trees])
-        want = np.column_stack([_evaluate(t.nodes, lat)
+        lat = np.column_stack([_evaluate(t, X) for t in g.encoder.trees])
+        want = np.column_stack([_evaluate(t, lat)
                                 for t in g.decoder.trees])
         assert _same(out, want) and out.flags.c_contiguous
         assert _same(output(g, X), want)
@@ -101,7 +101,7 @@ def test_operands_at_and_beyond_the_clamp():
     rng = np.random.default_rng(14)
     X = np.column_stack([edge, rng.permutation(edge), edge[::-1]])
     pop = _evolved(rng, 30, 3, 2, rounds=2)
-    trees = [t.nodes for g in pop for t in g.trees]
+    trees = [t for g in pop for t in g.trees]
     trees += [op(name, variable(a), variable(b))
               for name in gp_core.FUNCTION_SET for a in range(3)
               for b in range(3)]
@@ -116,7 +116,7 @@ def test_operands_at_and_beyond_the_clamp():
 def test_any_chunk_budget_gives_the_same_bytes(budget, monkeypatch):
     rng = np.random.default_rng(15)
     pop = _evolved(rng, 40, 5, 3, rounds=3)
-    trees = [t.nodes for g in pop for t in g.trees]
+    trees = [t for g in pop for t in g.trees]
     X = rng.normal(size=(30, 5)) * 1e3
     want = _oracle(trees, X)
     monkeypatch.setattr(gp_core, "EVAL_BUDGET", budget)

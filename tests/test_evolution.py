@@ -19,13 +19,12 @@ from gpdr.fitness import (
 from gpdr.gp_core import (
     AutoencoderMultiTree,
     MultiTree,
-    Tree,
     depth,
     op,
     variable,
 )
 from gpdr.variation import MAX_DEPTH
-from support import output, parse_infix, tree_rows
+from support import output, parse_infix, record_generations, tree_rows
 from test_fitness import weighted_kendall_tau_row
 
 
@@ -101,11 +100,12 @@ def test_evolve_audit_invariants_hold(monkeypatch):
     X = rng.normal(size=(60, 4))
     amt_spec = FitnessSpec(objective="gp_autoencoder", inputs=X,
                            target=X[:, :3])
+    seen = record_generations(monkeypatch)
     for spec in (teacher_spec, amt_spec):
-        seen = []
-
-        def hook(gen, pop, fits):
-            seen.append(gen)
+        seen.clear()
+        evolve(spec, GpRunConfig(population=50, generations=8, k=2, seed=3))
+        assert len(seen) == 8
+        for pop, fits in seen:
             assert len(pop) == 50
             for g in pop:
                 # an autoencoder's encoder and decoder trees keep the bound
@@ -113,10 +113,6 @@ def test_evolve_audit_invariants_hold(monkeypatch):
                          if isinstance(g, AutoencoderMultiTree) else g.trees)
                 assert all(depth(t) <= MAX_DEPTH for t in trees)
             assert not any(np.isnan(f) for f in fits)
-
-        evolve(spec, GpRunConfig(population=50, generations=8, k=2,
-                                 seed=3), audit_hook=hook)
-        assert seen == list(range(8))
 
 
 def _full_split_oracle(spec, genome) -> float:
@@ -151,10 +147,9 @@ def test_evolve_best_fitness_is_full_split_value(objective, monkeypatch):
         metric = None if objective == "gp_autoencoder" else "euclidean"
         spec = FitnessSpec(objective=objective, inputs=X, target=X[:, :3],
                            metric=metric)
-    genome_types = set()
-    res = evolve(spec, GpRunConfig(population=40, generations=5, k=2, seed=4),
-                 audit_hook=lambda gen, pop, fits:
-                 genome_types.update(map(type, pop)))
+    seen = record_generations(monkeypatch)
+    res = evolve(spec, GpRunConfig(population=40, generations=5, k=2, seed=4))
+    genome_types = {type(g) for pop, _ in seen for g in pop}
     expected = _full_split_oracle(spec, res.best_genome)
     assert abs(res.best_fitness - expected) <= 1e-12
     # the objective alone fixes the genome form
@@ -263,7 +258,7 @@ def test_evolve_dist_objective_identity_is_optimal(monkeypatch):
     spec = FitnessSpec(objective="dist", inputs=X, target=X,
                        metric="euclidean")
     res = evolve(spec, GpRunConfig(population=60, generations=10, k=2, seed=8))
-    ident = MultiTree((Tree(variable(0), 2), Tree(variable(1), 2)))
+    ident = MultiTree((variable(0), variable(1)), 2)
     best_possible = SammonTarget(pairwise_euclidean(X)).stress(
         pairwise_euclidean(output(ident, X)))
     assert best_possible == 0.0
@@ -275,9 +270,9 @@ def test_full_split_rescoring_logs_counts_at_debug(caplog):
     X = rng.normal(size=(30, 3))
     spec = FitnessSpec(objective="rank", inputs=X, target=X,
                        metric="euclidean")
-    a = MultiTree((Tree(variable(0), 3), Tree(variable(1), 3)))
-    b = MultiTree((Tree(variable(0), 3), Tree(variable(2), 3)))
-    same_as_a = MultiTree((Tree(variable(0), 3), Tree(variable(1), 3)))
+    a = MultiTree((variable(0), variable(1)), 3)
+    b = MultiTree((variable(0), variable(2)), 3)
+    same_as_a = MultiTree((variable(0), variable(1)), 3)
     with caplog.at_level(logging.DEBUG, logger="gpdr.fitness"):
         fits = BatchContext(spec).score([a, b, same_as_a])
     assert fits[0] == fits[2]
@@ -300,7 +295,7 @@ def test_full_split_rescoring_refuses_a_genome_of_another_form():
     X = np.random.default_rng(10).normal(size=(20, 3))
     spec = FitnessSpec(objective="gp_autoencoder", inputs=X, target=X)
     with pytest.raises(FitnessError, match="AutoencoderMultiTree"):
-        BatchContext(spec).score([MultiTree((Tree(variable(0), 3),))])
+        BatchContext(spec).score([MultiTree((variable(0),), 3)])
 
 
 def test_batch_draws_distinct_sorted_indices(monkeypatch):

@@ -24,7 +24,7 @@ from gpdr.experiment import (
     write_record,
 )
 from gpdr.dataset import load_csv
-from gpdr.gp_core import AutoencoderMultiTree, MultiTree, Tree, op, variable
+from gpdr.gp_core import AutoencoderMultiTree, MultiTree, op, variable
 
 
 SEGMENTATION = Path(__file__).resolve().parents[1] / "data" / "segmentation.csv"
@@ -182,6 +182,13 @@ def test_config_from_yaml_rejects_unknown_keys(toy_csv, tmp_path):
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "not a mapping" in result.output
+    # a file YAML cannot parse, and one that is not text
+    for data in (b"dataset_path: [\n", b"dataset_path: \xff\n"):
+        y.write_bytes(data)
+        result = CliRunner().invoke(main, ["run", "--config", str(y)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {y}: not a YAML config" in result.output
 
 
 def test_cli_desk_scale_keeps_the_budget_flags_given(toy_csv, tmp_path,
@@ -333,12 +340,13 @@ V1 = '{"format": "gpdr-run-record", "version": 1}\n'
      "record has unusable balanced_accuracy=None"),
     (V1 + '{"method": "pca", "k": true, "run": "0", "error": "boom"}\n',
      "record has unusable k=True, run='0'"),
+    (b"\xff\xfe" + V1.encode(), "not text"),
 ], ids=["version_2", "not_json", "empty_body", "list_body", "no_results",
-        "unknown_method", "null_metric", "bad_counts"])
+        "unknown_method", "null_metric", "bad_counts", "not_utf8"])
 def test_cli_readers_report_an_unreadable_record(tmp_path, text, message):
     path = tmp_path / "records" / "pca_k2_run000.jsonl"
     path.parent.mkdir()
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     for args in (["summarize", str(tmp_path)],
                  ["export-expr", str(tmp_path), "--method", "pca",
                   "--k", "2"]):
@@ -381,8 +389,8 @@ def test_run_single_embeds_heldout_rows_with_the_encoder(
     them with its encoder only, never its reconstruction."""
     data = load_csv(toy_csv, label_column="label")
     cfg = _tiny_config(toy_csv, tmp_path, monkeypatch)
-    enc = MultiTree((Tree(variable(0), 4), Tree(variable(2), 4)))
-    dec = MultiTree((Tree(op("*", variable(0), variable(1)), 2),))
+    enc = MultiTree((variable(0), variable(2)), 4)
+    dec = MultiTree((op("*", variable(0), variable(1)),), 2)
     real_outputs = experiment.genome_outputs
     seen = {}
 
@@ -464,7 +472,7 @@ def test_failed_runs_are_recorded_not_raised(toy_csv, tmp_path,
     assert summarize(store) == ""
 
 
-def test_cli_validate_data(toy_csv):
+def test_cli_validate_data(toy_csv, tmp_path):
     r = CliRunner().invoke(main, ["validate-data", toy_csv,
                                   "--label-column", "label"])
     assert r.exit_code == 0
@@ -472,6 +480,17 @@ def test_cli_validate_data(toy_csv):
     r = CliRunner().invoke(main, ["validate-data", "/nonexistent.csv"])
     assert r.exit_code == 1
     assert "error:" in r.output
+    # a CSV that is not text: both commands that read one end in an error
+    # line, not a traceback
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,b,label\n1,2,\xff\n3,4,x\n")
+    for args in (["validate-data", str(bad)],
+                 ["run", "--dataset", str(bad), "--method", "pca", "--k", "2",
+                  "--runs", "1", "--output-dir", str(tmp_path / "res")]):
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 1, args
+        assert isinstance(r.exception, SystemExit)
+        assert f"error: cannot read {bad}" in r.output
 
 
 def test_cli_validate_data_takes_a_label_column_index():

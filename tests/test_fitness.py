@@ -21,7 +21,6 @@ from gpdr.fitness import (
 from gpdr.gp_core import (
     AutoencoderMultiTree,
     MultiTree,
-    Tree,
     constant,
     op,
     ramped_autoencoders,
@@ -302,7 +301,7 @@ def test_fitness_spec_validation():
 
 
 def _identity_genome(p, k):
-    return MultiTree(tuple(Tree(variable(j), p) for j in range(k)))
+    return MultiTree(tuple(variable(j) for j in range(k)), p)
 
 
 def _score(genome, ctx):
@@ -380,7 +379,7 @@ def test_score_teacher_and_autoencoder_objectives():
 
 
 def _decoder_of(roots, k):
-    return MultiTree(tuple(Tree(r, k) for r in roots))
+    return MultiTree(tuple(roots), k)
 
 
 def test_score_autoencoder_scales_decoder_outputs():
@@ -447,13 +446,13 @@ def test_score_collapses_nonfinite_to_sentinel():
     # a fitness whose target has zero distances instead
     spec = FitnessSpec(objective="dist", inputs=X, target=X, metric="euclidean")
     ctx = BatchContext(spec, np.arange(3))
-    const_genome = MultiTree((Tree(constant(0.0), 2),))
+    const_genome = MultiTree((constant(0.0),), 2)
     assert np.isfinite(_score(const_genome, ctx))
     # the sentinel is used when the objective itself is non-finite
     bad = FitnessSpec(objective="teacher", inputs=X, target=X,
                       teacher_latent=np.full((3, 1), np.inf))
     ctx = BatchContext(bad, np.arange(3))
-    genome = MultiTree((Tree(variable(0), 2),))
+    genome = MultiTree((variable(0),), 2)
     assert _score(genome, ctx) == WORST_FITNESS
 
 

@@ -6,13 +6,11 @@ from gpdr.gp_core import (
     AutoencoderMultiTree,
     EvalError,
     MultiTree,
-    Tree,
     constant,
     depth,
     export_lines,
     genome_outputs,
     grow_tree,
-    node_count,
     op,
     ramped_autoencoders,
     ramped_half_and_half,
@@ -24,11 +22,11 @@ from support import ParseError, output, parse_infix, tree_rows
 
 
 def _rand_tree(rng, arity=3, dmax=5):
-    return Tree(grow_tree(arity, dmax, rng), arity)
+    return grow_tree(arity, dmax, rng)
 
 
 def test_eval_basic_arithmetic():
-    t = Tree(op("+", op("*", variable(0), variable(1)), constant(2.0)), 2)
+    t = op("+", op("*", variable(0), variable(1)), constant(2.0))
     assert tree_rows(t, np.array([[3.0, 4.0]]))[0] == 14.0
     X = np.array([[1.0, 2.0], [0.0, 5.0]])
     assert np.allclose(tree_rows(t, X), [4.0, 2.0])
@@ -36,9 +34,9 @@ def test_eval_basic_arithmetic():
 
 def test_eval_clamps_blowups():
     big = constant(1e11)
-    t = Tree(op("*", op("*", big, big), op("*", big, big)), 1)
+    t = op("*", op("*", big, big), op("*", big, big))
     assert tree_rows(t, np.array([[0.0]]))[0] == CLAMP
-    t = Tree(op("-", constant(0.0), op("*", op("*", big, big), big)), 1)
+    t = op("-", constant(0.0), op("*", op("*", big, big), big))
     assert tree_rows(t, np.array([[0.0]]))[0] == -CLAMP
 
 
@@ -58,59 +56,58 @@ def test_clamp_matches_nan_to_num_then_clip_bit_for_bit():
 
 
 def test_eval_shape_errors():
-    t = Tree(variable(0), 2)
+    good = MultiTree((variable(0),), 2)
     for X in (np.array([[1.0]]), np.zeros((3, 3)), np.zeros(2)):
         with pytest.raises(EvalError, match="arity"):
-            tree_rows(t, X)
+            output(good, X)
     # one genome of the wrong arity refuses the whole pass
-    good = MultiTree((t,))
     with pytest.raises(EvalError, match="arity"):
-        list(genome_outputs([good, MultiTree((Tree(variable(0), 3),))],
+        list(genome_outputs([good, MultiTree((variable(0),), 3)],
                             np.zeros((4, 2))))
     assert list(genome_outputs([], np.zeros((4, 2)))) == []
 
 
 def test_node_count_and_depth():
-    t = Tree(variable(0), 1)
-    assert node_count(t) == 1 and depth(t) == 0
-    t = Tree(op("+", variable(0), op("*", variable(0), constant(1.0))), 1)
-    assert node_count(t) == 5 and depth(t) == 2
+    t = variable(0)
+    assert len(t) == 1 and depth(t) == 0
+    t = op("+", variable(0), op("*", variable(0), constant(1.0)))
+    assert len(t) == 5 and depth(t) == 2
 
 
 def test_multitree_encode_columns():
-    mt = MultiTree((Tree(variable(0), 2), Tree(variable(1), 2)))
+    mt = MultiTree((variable(0), variable(1)), 2)
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(output(mt, X), X)
     assert mt.k == 2 and mt.input_arity == 2
 
 
 def test_autoencoder_multitree():
-    enc = MultiTree((Tree(variable(0), 2),))
-    dec = MultiTree((Tree(variable(0), 1), Tree(op("-", constant(0.0), variable(0)), 1)))
+    enc = MultiTree((variable(0),), 2)
+    dec = MultiTree((variable(0), op("-", constant(0.0), variable(0))), 1)
     amt = AutoencoderMultiTree(enc, dec)
     X = np.array([[2.0, 9.0]])
     assert np.allclose(output(enc, X), [[2.0]])
     assert np.allclose(output(amt, X), [[2.0, -2.0]])
     with pytest.raises(EvalError):
-        AutoencoderMultiTree(enc, MultiTree((Tree(variable(1), 2),)))
+        AutoencoderMultiTree(enc, MultiTree((variable(1),), 2))
 
 
 def test_grow_and_full_respect_depth():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        g = Tree(grow_tree(4, 5, rng, depth_min=2), 4)
+        g = grow_tree(4, 5, rng, depth_min=2)
         assert depth(g) <= 5
         # depth_min == depth_max is the full method
-        f = Tree(grow_tree(4, 3, rng, depth_min=3), 4)
+        f = grow_tree(4, 3, rng, depth_min=3)
         assert depth(f) == 3
         # full trees over binary-only operators are complete binary trees
-        assert node_count(f) == 2**4 - 1
+        assert len(f) == 2**4 - 1
 
 
 def test_grow_depth_min_forces_operators():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        t = Tree(grow_tree(3, 6, rng, depth_min=2), 3)
+        t = grow_tree(3, 6, rng, depth_min=2)
         assert depth(t) >= 2
 
 
@@ -120,9 +117,8 @@ def test_ramped_half_and_half_population():
     assert len(pop) == 60
     depths = set()
     for mt in pop:
-        assert mt.k == 3
+        assert mt.k == 3 and mt.input_arity == 5
         for t in mt.trees:
-            assert t.input_arity == 5
             assert depth(t) <= 7
             depths.add(depth(t))
     assert max(depths) == 7  # the ramp reaches the cap
@@ -138,16 +134,16 @@ def test_ramped_autoencoders_shapes():
 
 
 def test_simplify_folds_constants_and_identities():
-    t = Tree(op("+", constant(2.0), constant(3.0)), 1)
-    assert simplify(t).nodes == constant(5.0)
-    t = Tree(op("+", variable(0), constant(0.0)), 1)
-    assert simplify(t).nodes == variable(0)
-    t = Tree(op("*", constant(1.0), variable(0)), 1)
-    assert simplify(t).nodes == variable(0)
-    t = Tree(op("*", variable(0), constant(0.0)), 1)
-    assert simplify(t).nodes == constant(0.0)
-    t = Tree(op("-", variable(0), constant(0.0)), 1)
-    assert simplify(t).nodes == variable(0)
+    t = op("+", constant(2.0), constant(3.0))
+    assert simplify(t) == constant(5.0)
+    t = op("+", variable(0), constant(0.0))
+    assert simplify(t) == variable(0)
+    t = op("*", constant(1.0), variable(0))
+    assert simplify(t) == variable(0)
+    t = op("*", variable(0), constant(0.0))
+    assert simplify(t) == constant(0.0)
+    t = op("-", variable(0), constant(0.0))
+    assert simplify(t) == variable(0)
 
 
 def test_simplify_preserves_semantics():
@@ -161,14 +157,14 @@ def test_simplify_preserves_semantics():
 
 
 def test_to_infix_formatting():
-    t = Tree(op("*", op("+", variable(0), variable(1)), variable(2)), 3)
+    t = op("*", op("+", variable(0), variable(1)), variable(2))
     assert to_infix(t) == "(x0 + x1) * x2"
-    t = Tree(op("-", variable(0), op("-", variable(1), variable(2))), 3)
+    t = op("-", variable(0), op("-", variable(1), variable(2)))
     assert to_infix(t) == "x0 - (x1 - x2)"
-    t = Tree(op("+", constant(-1.5), variable(0)), 1)
+    t = op("+", constant(-1.5), variable(0))
     assert to_infix(t) == "(-1.5) + x0"
     # constants print at full precision, as repr does
-    t = Tree(op("+", variable(0), constant(0.1 + 0.2)), 1)
+    t = op("+", variable(0), constant(0.1 + 0.2))
     assert to_infix(t) == "x0 + 0.30000000000000004"
 
 
@@ -176,7 +172,7 @@ def test_infix_round_trip_random_trees():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(10, 4))
     for _ in range(60):
-        t = Tree(grow_tree(4, 5, rng), 4)
+        t = grow_tree(4, 5, rng)
         text = to_infix(t)
         back = parse_infix(text, 4)
         assert np.allclose(tree_rows(t, X), tree_rows(back, X),
@@ -199,19 +195,18 @@ def test_parse_infix_unary_minus_and_errors():
 
 
 def test_export_lines_format():
-    mt = MultiTree((Tree(variable(0), 2), Tree(op("+", variable(1), constant(1.0)), 2)))
+    mt = MultiTree((variable(0), op("+", variable(1), constant(1.0))), 2)
     lines = export_lines(mt)
     assert lines == ["X~0 = x0", "X~1 = x1 + 1.0"]
 
 
 def test_export_lines_with_scaling_keep_the_tree_grouped():
-    mt = MultiTree((Tree(op("*", variable(0), variable(1)), 2),
-                    Tree(variable(1), 2)))
+    mt = MultiTree((op("*", variable(0), variable(1)), variable(1)), 2)
     lines = export_lines(mt, scaling=([0.5, -1.0], [-2.0, 1e10]))
     assert lines == ["X~0 = 0.5 + (-2.0) * (x0 * x1)",
                      "X~1 = (-1.0) + 10000000000.0 * (x1)"]
     # b * (x0 * x1) stays below the clamp where (b * x0) * x1 would not
-    wide = MultiTree((Tree(op("*", variable(0), variable(1)), 2),))
+    wide = MultiTree((op("*", variable(0), variable(1)),), 2)
     (line,) = export_lines(wide, scaling=([0.0], [1e10]))
     X = np.array([[1e3, 1e-3]])
     got = tree_rows(parse_infix(line.split(" = ", 1)[1], 2), X)

@@ -19,7 +19,6 @@ from gpdr.gp_core import (
     P_VARIABLE,
     AutoencoderMultiTree,
     MultiTree,
-    Tree,
     _clamp,
     export_lines,
     genome_outputs,
@@ -307,7 +306,7 @@ def _flat(node: Node) -> tuple:
 def _genome(g):
     if isinstance(g, Auto):
         return AutoencoderMultiTree(_genome(g.encoder), _genome(g.decoder))
-    return MultiTree(tuple(Tree(_flat(r), g.arity) for r in g.roots))
+    return MultiTree(tuple(_flat(r) for r in g.roots), g.arity)
 
 
 def _random_multi(rng, k: int, arity: int, dmax: int = MAX_DEPTH) -> Multi:
@@ -419,7 +418,7 @@ def test_simplify_and_export_text_match_the_node_oracle():
                    mt.arity)
         genome = _genome(mt)
         for root, t in zip(mt.roots, genome.trees):
-            assert simplify(t) == Tree(_flat(_fold(root)), 3)
+            assert simplify(t) == _flat(_fold(root))
             assert to_infix(t) == _infix(root)
         scaling = (rng.normal(size=2), rng.normal(size=2))
         assert export_lines(genome) == _export_lines(mt)

@@ -24,7 +24,7 @@ from gpdr.dataset import Dataset, load_csv
 from gpdr.evaluation import EvaluationResult
 from gpdr.evolution import RunResult
 from gpdr.experiment import ExperimentConfig, derive_seed, run_single
-from gpdr.gp_core import MultiTree, Tree, variable
+from gpdr.gp_core import MultiTree, variable
 from gpdr.numerics import sym_eigen
 
 SEGMENTATION = Path(__file__).resolve().parents[1] / "data" / "segmentation.csv"
@@ -140,7 +140,7 @@ def _prepared(data: Dataset, method: str, k: int, cfg, monkeypatch) -> dict:
 
     def evolve_spy(spec, gp_cfg):
         seen["train_X"], seen["train_target"] = spec.inputs, spec.target
-        genome = MultiTree(tuple(Tree(variable(j), data.p) for j in range(k)))
+        genome = MultiTree(tuple(variable(j) for j in range(k)), data.p)
         return RunResult(genome, 0.0, [0.0], [])
 
     monkeypatch.setattr(experiment, "evaluate", evaluate_spy)

@@ -4,11 +4,9 @@ import pytest
 from gpdr.gp_core import (
     AutoencoderMultiTree,
     MultiTree,
-    Tree,
     constant,
     depth,
     grow_tree,
-    node_count,
     node_depths,
     op,
     ramped_autoencoders,
@@ -27,8 +25,8 @@ from gpdr.variation import (
 
 
 def _mt(rng, arity=3, k=2, dmax=4):
-    trees = tuple(Tree(grow_tree(arity, dmax, rng), arity) for _ in range(k))
-    return MultiTree(trees)
+    trees = tuple(grow_tree(arity, dmax, rng) for _ in range(k))
+    return MultiTree(trees, arity)
 
 
 def _full(arity, rng):
@@ -65,8 +63,8 @@ def test_self_crossover_splices_by_index():
     # one object as both parents, with two equal subtrees under its root:
     # a swap is read off preorder indices, never off equality
     shared = op("-", variable(0), constant(2.0))
-    parent = MultiTree((Tree(op("+", shared, shared), 2),))
-    nodes = parent.trees[0].nodes
+    parent = MultiTree((op("+", shared, shared),), 2)
+    (nodes,) = parent.trees
     swaps = {}
     for seed in range(200):
         probe = np.random.default_rng(seed)
@@ -75,9 +73,9 @@ def test_self_crossover_splices_by_index():
         ca, cb = same_index_crossover(parent, parent, p_c=1.0,
                                       rng=np.random.default_rng(seed))
         ea, eb = subtree_end(nodes, ia), subtree_end(nodes, ib)
-        assert ca.trees[0].nodes == nodes[:ia] + nodes[ib:eb] + nodes[ea:]
-        assert cb.trees[0].nodes == nodes[:ib] + nodes[ia:ea] + nodes[eb:]
-        swaps[ia, ib] = (ca.trees[0].nodes, cb.trees[0].nodes)
+        assert ca.trees[0] == nodes[:ia] + nodes[ib:eb] + nodes[ea:]
+        assert cb.trees[0] == nodes[:ib] + nodes[ia:ea] + nodes[eb:]
+        swaps[ia, ib] = (ca.trees[0], cb.trees[0])
     assert nodes == op("+", shared, shared)
     # the left subtree swapped with the variable inside the right one
     assert swaps[1, 5] == (op("+", variable(0), shared),
@@ -86,12 +84,12 @@ def test_self_crossover_splices_by_index():
 
 def test_crossover_swaps_only_same_index():
     rng = np.random.default_rng(2)
-    a = MultiTree((Tree(variable(0), 2), Tree(variable(0), 2)))
-    b = MultiTree((Tree(variable(1), 2), Tree(variable(1), 2)))
+    a = MultiTree((variable(0), variable(0)), 2)
+    b = MultiTree((variable(1), variable(1)), 2)
     ca, cb = same_index_crossover(a, b, p_c=1.0, rng=rng)
     # single-node trees: the only possible swap exchanges whole trees
-    assert ca.trees[0].nodes == variable(1)
-    assert cb.trees[0].nodes == variable(0)
+    assert ca.trees[0] == variable(1)
+    assert cb.trees[0] == variable(0)
 
 
 def test_crossover_zero_rate_copies_parents():
@@ -104,8 +102,8 @@ def test_crossover_zero_rate_copies_parents():
 def test_crossover_never_exceeds_depth_limit():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        a = MultiTree((Tree(_full(2, rng), 2),))
-        b = MultiTree((Tree(_full(2, rng), 2),))
+        a = MultiTree((_full(2, rng),), 2)
+        b = MultiTree((_full(2, rng),), 2)
         ca, cb = same_index_crossover(a, b, p_c=1.0, rng=rng)
         assert depth(ca.trees[0]) <= MAX_DEPTH
         assert depth(cb.trees[0]) <= MAX_DEPTH
@@ -120,7 +118,7 @@ def test_crossover_rejects_mismatched_parents():
 def test_subtree_mutation_respects_depth_budget():
     rng = np.random.default_rng(6)
     for _ in range(100):
-        mt = MultiTree((Tree(_full(3, rng), 3),))
+        mt = MultiTree((_full(3, rng),), 3)
         out = subtree_mutation(mt, p_s=1.0, rng=rng)
         assert depth(out.trees[0]) <= MAX_DEPTH
     mt = _mt(rng)
@@ -133,7 +131,7 @@ def test_one_point_mutation_preserves_shape():
         mt = _mt(rng)
         out = one_point_mutation(mt, p_o=1.0, rng=rng)
         for t_in, t_out in zip(mt.trees, out.trees):
-            assert node_count(t_in) == node_count(t_out)
+            assert len(t_in) == len(t_out)
             assert depth(t_in) == depth(t_out)
 
 
@@ -158,5 +156,6 @@ def test_next_generation_autoencoder_genomes():
     for amt in new:
         assert isinstance(amt, AutoencoderMultiTree)
         assert amt.encoder.k == 2 and amt.decoder.k == 3
+        assert amt.encoder.input_arity == 4 and amt.decoder.input_arity == 2
         trees = amt.encoder.trees + amt.decoder.trees
         assert all(depth(t) <= MAX_DEPTH for t in trees)
